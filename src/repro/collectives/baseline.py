@@ -88,7 +88,7 @@ class _QuantumMachine(CallbackMachine):
         self._pending = 0
         self._hold = 0.0
 
-    def _advance(self, _event: BaseEvent) -> None:
+    def _advance(self, _event: Optional[BaseEvent] = None) -> None:
         stage = self._stage
         if stage == 0:
             # Booted: issue the operand reads.

@@ -87,7 +87,7 @@ class _SliceMachine(CallbackMachine):
         self._stage = 0
         self._pending = 0
 
-    def _advance(self, _event: BaseEvent) -> None:
+    def _advance(self, _event: Optional[BaseEvent] = None) -> None:
         stage = self._stage
         engine = self.engine
         if stage == 0:
@@ -162,7 +162,7 @@ class _CommandMachine(CallbackMachine):
         self._gap = 0.0
         self._group: Optional[CompletionGroup] = None
 
-    def _advance(self, _event: BaseEvent) -> None:
+    def _advance(self, _event: Optional[BaseEvent] = None) -> None:
         stage = self._stage
         engine = self.engine
         env = self.env

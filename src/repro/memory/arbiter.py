@@ -29,8 +29,10 @@ from repro.memory.request import Stream
 class ArbiterState:
     """The view of one channel the policy decides on.
 
-    Constructed once per arbitration decision on the simulator hot path,
-    so it is a slotted plain class rather than a dataclass.
+    Read once per arbitration decision on the simulator hot path, so it
+    is a slotted plain class rather than a dataclass.  Each channel owns
+    one and refreshes it in place per decision: a policy must not keep
+    a reference to it past ``choose``.
     """
 
     __slots__ = ("compute_waiting", "comm_waiting", "dram_occupancy",

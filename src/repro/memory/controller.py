@@ -24,7 +24,8 @@ from repro.config import SystemConfig
 from repro.memory.arbiter import make_policy
 from repro.policy import resolve_overlap_policy
 from repro.memory.dram import HBMChannel
-from repro.memory.request import AccessKind, MemRequest, Stream
+from repro.memory.request import (AccessKind, MemRequest, Stream,
+                                  _request_ids, accounting_key)
 from repro.sim.engine import BaseEvent, Environment
 from repro.sim.stats import Counter, TimeSeries
 
@@ -79,7 +80,6 @@ class MemoryController:
 
     def submit(self, request: MemRequest) -> BaseEvent:
         """Submit one transaction; returns its completion event."""
-        request.attach(self.env)
         if request.stream is Stream.COMM:
             self._out_comm += 1
         else:
@@ -96,24 +96,55 @@ class MemoryController:
                     label: str, wg_id: Optional[int] = None,
                     wf_id: Optional[int] = None,
                     chunk_id: Optional[int] = None) -> List[BaseEvent]:
-        """Split ``nbytes`` into quantum-sized requests and submit them all.
+        """Split ``nbytes`` (rounded up) into quantum-sized requests — full
+        quanta, then the remainder — and submit them round-robin.
 
-        Returns the completion events (one per transaction).
+        Returns the completion events (one per transaction).  This runs
+        once per kernel wave, DMA slice and collective step, so the
+        per-call work (accounting key, outstanding count, round-robin
+        index) is done once, and each quantum costs one request, one
+        event and one channel hand-off.
         """
         if nbytes <= 0:
             return []
         quantum = self.config.fidelity.quantum_bytes
-        n_full, remainder = divmod(int(math.ceil(nbytes)), quantum)
-        sizes = [quantum] * n_full
-        if remainder:
-            sizes.append(remainder)
-        return [
-            self.submit(MemRequest(
-                kind=kind, stream=stream, nbytes=size, label=label,
-                wg_id=wg_id, wf_id=wf_id, chunk_id=chunk_id,
-            ))
-            for size in sizes
-        ]
+        total = math.ceil(nbytes)
+        count = -(-total // quantum)
+        if stream is Stream.COMM:
+            self._out_comm += count
+        else:
+            self._out_compute += count
+        key = accounting_key(label, kind)
+        env = self.env
+        channels = self.channels
+        n_channels = len(channels)
+        index = self._next_channel
+        new_request = object.__new__
+        events = []
+        append = events.append
+        for offset in range(0, total, quantum):
+            remaining = total - offset
+            # Every slot MemRequest.__init__ sets (see its docstring);
+            # the channel stamps issued_at.
+            request = new_request(MemRequest)
+            request.kind = kind
+            request.stream = stream
+            request.nbytes = quantum if remaining > quantum else remaining
+            request.label = label
+            request.wg_id = wg_id
+            request.wf_id = wf_id
+            request.chunk_id = chunk_id
+            request.req_id = next(_request_ids)
+            request.counter_key = key
+            request.serviced_at = None
+            request.done = done = BaseEvent(env)
+            append(done)
+            channels[index].submit(request)
+            index += 1
+            if index == n_channels:
+                index = 0
+        self._next_channel = index
+        return events
 
     # -- tracker & accounting ---------------------------------------------------
 
@@ -226,6 +257,7 @@ class MemoryController:
 
     def merged_traffic(self, keys: Iterable[str]) -> TimeSeries:
         """Merge several recorded series into one time-ordered series."""
+        keys = list(keys)  # read twice: the name, then the samples
         merged = TimeSeries("+".join(keys))
         samples: List[tuple[float, float]] = []
         for key in keys:

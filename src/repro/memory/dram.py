@@ -17,6 +17,23 @@ processes: together they handle roughly half of all event firings in a
 simulation, and a direct callback skips the generator-resume machinery
 while scheduling exactly the same events in exactly the same order (one
 wake per sleep, one zero-timeout per issue, one timed event per service).
+
+Request lifecycle.  A request's completion event is created on submit.
+Subscribers attach in the callback that submitted the request (an
+``AllOf`` over the returned events, a machine's per-event callback),
+except the GEMM's one-wave-ahead operand reads, whose ``AllOf`` attaches
+at the next wave boundary.  When service ends, a completion with
+subscribers fires through the engine's now-queue.  One with none (the
+GEMM output writes nobody waits for, prefetched reads that land before
+their wave) is marked fired in place and never enters the schedule.  Its
+now-queue slot would run no callback, so skipping it reorders nothing
+else, and a later subscriber finds it fired and runs at once under the
+engine's late-subscription rule, just as it would after that slot.  The
+two differ only for a subscriber attaching at the same timestamp between
+the service end and the slot; none does in any ``perfbench`` workload
+(every late ``AllOf`` attaches after the slot).  ``events_fired``
+counts one event fewer per such request; the callback dispatches are
+the same.
 """
 
 from __future__ import annotations
@@ -31,7 +48,23 @@ from repro.sim.primitives import ReusableTimer
 
 
 class HBMChannel:
-    """One simulated HBM channel (see module docstring)."""
+    """One simulated HBM channel (see module docstring).
+
+    Slotted: a simulation builds one per (GPU, channel), and past ~30
+    attributes a plain instance stops sharing its dict keys and pays for
+    a full dict of its own.
+    """
+
+    __slots__ = (
+        "env", "channel_id", "gpu_id", "bandwidth", "queue_depth",
+        "ccdwl_factor", "policy", "on_serviced",
+        "_q_compute", "_q_comm", "_dram_q", "_in_service", "_issue_idle",
+        "_service_idle", "_servicing", "_service_duration",
+        "_issue_timer", "_service_wake", "_service_timer", "_arbiter_state",
+        "busy_time", "bytes_serviced", "bytes_enqueued",
+        "_occ_key", "_obs_occ_gauge", "_obs_dram_scope", "_obs_arb_scope",
+        "_gate_threshold", "_key_comm_grants", "_key_comm_deferrals",
+    )
 
     def __init__(self, env: Environment, channel_id: int,
                  bandwidth_bytes_per_ns: float, queue_depth: int,
@@ -74,6 +107,8 @@ class HBMChannel:
         self._issue_timer = ReusableTimer(env, self._issue_tick)
         self._service_wake = ReusableTimer(env, self._service_tick)
         self._service_timer = ReusableTimer(env, self._service_done)
+        # One arbiter view, refreshed per decision (no policy keeps it).
+        self._arbiter_state = ArbiterState(0, 0, 0, queue_depth, 0.0)
         self.busy_time = 0.0
         self.bytes_serviced = 0.0
         self.bytes_enqueued = 0.0
@@ -84,6 +119,7 @@ class HBMChannel:
         # and rebuilding scope + key strings there dominates obs overhead.
         self._occ_key = f"ch{channel_id}.occupancy"
         self._obs_occ_gauge = None
+        self._obs_dram_scope = None
         self._obs_arb_scope = None
         self._gate_threshold: object = self  # sentinel: not yet resolved
         self._key_comm_grants = ""
@@ -93,7 +129,8 @@ class HBMChannel:
 
     def submit(self, request: MemRequest) -> None:
         env = self.env
-        request.attach(env)
+        if request.done is None:
+            request.done = BaseEvent(env)
         request.issued_at = env._now
         self.bytes_enqueued += request.nbytes
         if request.stream is Stream.COMM:
@@ -133,6 +170,11 @@ class HBMChannel:
         return min(1.0, self.busy_time / elapsed_ns)
 
     # -- event-driven state machines ------------------------------------------
+
+    def _dram_scope(self):
+        """The channel's ``dram`` obs scope, resolved once."""
+        scope = self._obs_dram_scope = self.env.obs.scope(self.gpu_id, "dram")
+        return scope
 
     def _record_arbitration(self, state: Optional[ArbiterState],
                             choice: Optional[Stream]) -> None:
@@ -187,9 +229,11 @@ class HBMChannel:
         choice: Optional[Stream] = None
         state: Optional[ArbiterState] = None
         if (q_compute or q_comm) and len(dram_q) + self._in_service < depth:
-            state = ArbiterState(
-                len(q_compute), len(q_comm),
-                len(dram_q) + self._in_service, depth, env._now)
+            state = self._arbiter_state
+            state.compute_waiting = len(q_compute)
+            state.comm_waiting = len(q_comm)
+            state.dram_occupancy = len(dram_q) + self._in_service
+            state.now = env._now
             choice = self.policy.choose(state)
         if env.obs is not None:
             self._record_arbitration(state, choice)
@@ -204,8 +248,8 @@ class HBMChannel:
         if env.obs is not None:
             gauge = self._obs_occ_gauge
             if gauge is None:
-                gauge = self._obs_occ_gauge = env.obs.scope(
-                    self.gpu_id, "dram").gauge(self._occ_key)
+                gauge = self._obs_occ_gauge = self._dram_scope().gauge(
+                    self._occ_key)
             gauge.set(env._now, len(dram_q) + self._in_service)
         self.policy.on_issue(choice, env._now)
         if self._service_idle:
@@ -238,7 +282,9 @@ class HBMChannel:
         self._in_service = 0
         self.busy_time += duration
         if env.obs is not None:
-            scope = env.obs.scope(self.gpu_id, "dram")
+            scope = self._obs_dram_scope
+            if scope is None:
+                scope = self._dram_scope()
             now = env._now
             if request.kind is AccessKind.UPDATE:
                 scope.count("nmc_updates")
@@ -274,8 +320,14 @@ class HBMChannel:
         self.bytes_serviced += request.nbytes
         request.serviced_at = env._now
         done = request.done
-        if done is not None:
+        request.done = None
+        if done._callbacks:
             done.succeed(request)
+        else:
+            # Nobody is waiting: fire in place (module docstring).
+            done._triggered = done._fired = True
+            done._value = request
+            done._callbacks = None
         if self.on_serviced is not None:
             self.on_serviced(request)
         # Occupancy dropped: the issue machine may proceed — but only

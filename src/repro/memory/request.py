@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.engine import BaseEvent, Environment
+from repro.sim.engine import BaseEvent
 
 
 class AccessKind(enum.Enum):
@@ -45,40 +44,60 @@ _request_ids = itertools.count()
 _counter_keys: dict = {}
 
 
-@dataclass(slots=True)
+def accounting_key(label: str, kind: AccessKind) -> str:
+    """The ``label.kind`` traffic-counter key (e.g. ``"gemm.read"``)."""
+    key = (label, kind)
+    counter_key = _counter_keys.get(key)
+    if counter_key is None:
+        counter_key = _counter_keys[key] = f"{label}.{kind.value}"
+    return counter_key
+
+
 class MemRequest:
-    """A single memory transaction of ``nbytes`` (one simulation quantum)."""
+    """A single memory transaction of ``nbytes`` (one simulation quantum).
 
-    kind: AccessKind
-    stream: Stream
-    nbytes: int
-    label: str
-    wg_id: Optional[int] = None
-    wf_id: Optional[int] = None
-    chunk_id: Optional[int] = None
-    req_id: int = field(default_factory=lambda: next(_request_ids))
-    #: completion event, attached by the memory controller on submit.
-    done: Optional[BaseEvent] = None
-    issued_at: Optional[float] = None
-    serviced_at: Optional[float] = None
-    #: accounting key, computed once — read on every service completion.
-    counter_key: str = field(init=False, repr=False, compare=False)
+    A plain slotted class: hundreds of thousands are built per simulated
+    case.  :meth:`MemoryController.submit_bulk` fills the slots directly
+    instead of calling ``__init__`` (one accounting-key lookup per bulk
+    call instead of one per quantum), so a new slot must be set there too.
 
-    def __post_init__(self) -> None:
-        if self.nbytes <= 0:
+    ``done`` is the completion event, attached on submit.  It fires with
+    the request as its value, and the channel drops ``done`` once the
+    request is serviced so that a finished request and its event do not
+    form a reference cycle.
+    """
+
+    __slots__ = ("kind", "stream", "nbytes", "label", "wg_id", "wf_id",
+                 "chunk_id", "req_id", "done", "issued_at", "serviced_at",
+                 "counter_key", "__weakref__")
+
+    def __init__(self, kind: AccessKind, stream: Stream, nbytes: int,
+                 label: str, wg_id: Optional[int] = None,
+                 wf_id: Optional[int] = None, chunk_id: Optional[int] = None,
+                 req_id: Optional[int] = None,
+                 done: Optional[BaseEvent] = None,
+                 issued_at: Optional[float] = None,
+                 serviced_at: Optional[float] = None):
+        if nbytes <= 0:
             raise ValueError("memory request must move a positive byte count")
-        key = (self.label, self.kind)
-        counter_key = _counter_keys.get(key)
-        if counter_key is None:
-            counter_key = _counter_keys[key] = f"{self.label}.{self.kind.value}"
-        self.counter_key = counter_key
+        self.kind = kind
+        self.stream = stream
+        self.nbytes = nbytes
+        self.label = label
+        self.wg_id = wg_id
+        self.wf_id = wf_id
+        self.chunk_id = chunk_id
+        self.req_id = next(_request_ids) if req_id is None else req_id
+        self.done = done
+        self.issued_at = issued_at
+        self.serviced_at = serviced_at
+        #: accounting key, computed once — read on every service completion.
+        self.counter_key = accounting_key(label, kind)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"MemRequest(#{self.req_id} {self.counter_key} "
+                f"{self.stream.value} {self.nbytes}B)")
 
     @property
     def has_tracker_metadata(self) -> bool:
         return self.wg_id is not None and self.wf_id is not None
-
-    def attach(self, env: Environment) -> "MemRequest":
-        """Give the request a completion event in ``env``."""
-        if self.done is None:
-            self.done = BaseEvent(env)
-        return self

@@ -20,20 +20,34 @@ files enforce this.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.sim.engine import BaseEvent, Environment, SimulationError
 
 
 class CallbackMachine(BaseEvent):
     """An event that re-arms itself: the chassis of a state machine.
 
-    Subclasses implement ``_advance(event)`` — the single callback fired
-    at every self-armed stage boundary — and call :meth:`_arm` to
+    Subclasses implement ``_advance(event=None)`` — the single callback
+    fired at every self-armed stage boundary — and call :meth:`_arm` to
     schedule the next boundary (``delay=0`` lands in the engine's
     same-time FIFO lane, elsewhere the heap).  A machine sleeps at most
     once at a time; re-arming while pending is a bug and raises.
+
+    Re-arming allocates nothing: the callback tuple is built once per
+    class and holds the plain ``_advance`` function, which the engine
+    calls with the fired event — the machine itself — as ``self``.  A
+    per-instance tuple of the bound method would tie every machine into
+    a reference cycle and keep finished machines alive until a
+    cycle-collector pass.  The tuple also means a pending machine takes
+    no extra subscribers.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._rearm = (cls._advance,)
 
     def __init__(self, env: Environment):
         self.env = env
@@ -51,7 +65,7 @@ class CallbackMachine(BaseEvent):
         if self._callbacks is not None:
             raise SimulationError(
                 f"{type(self).__name__} re-armed while pending")
-        self._callbacks = [self._advance]
+        self._callbacks = self._rearm
         self._triggered = True
         self._fired = False
         # Inlined Environment.schedule() zero-delay fast path.
@@ -60,8 +74,8 @@ class CallbackMachine(BaseEvent):
         else:
             self.env.schedule(self, delay)
 
-    def _advance(self, event: BaseEvent) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def _advance(self, event: Optional[BaseEvent] = None) -> None:
+        raise NotImplementedError  # pragma: no cover
 
 
 class CompletionGroup(BaseEvent):

@@ -63,19 +63,25 @@ class ReusableTimer(BaseEvent):
     slices) sleep at most once per machine at a time, so each machine
     can own its timer objects and re-arm them instead of allocating a
     fresh ``Timeout`` (plus callback list) per tick.  ``arm()`` resets
-    the event slots and puts the timer back on the schedule; firing
+    the event slots and puts the timer back on the schedule with a
+    callback tuple built once, so a re-arm allocates nothing; firing
     happens through the ordinary engine loop, so recycling is invisible
-    to both schedulers.
+    to both schedulers.  A timer therefore takes no extra subscribers.
+
+    The tuple holds ``fn``, usually a bound method of the owner, so an
+    owner and its timer form a reference cycle that only the cycle
+    collector reclaims: give timers to long-lived owners (a DRAM channel
+    lives as long as its simulation).
 
     Arming a timer that is still pending is a bug (the schedule holds a
     reference to it); the guard raises instead of corrupting the run.
     """
 
-    __slots__ = ("_fn",)
+    __slots__ = ("_rearm",)
 
     def __init__(self, env: Environment, fn):
         self.env = env
-        self._fn = fn
+        self._rearm = (fn,)
         self._callbacks = None
         self._value = None
         self._ok = True
@@ -85,7 +91,7 @@ class ReusableTimer(BaseEvent):
     def arm(self, delay: float = 0.0, value: Any = None) -> None:
         if self._callbacks is not None:
             raise SimulationError("ReusableTimer re-armed while pending")
-        self._callbacks = [self._fn]
+        self._callbacks = self._rearm
         self._value = value
         self._triggered = True
         self._fired = False

@@ -176,3 +176,60 @@ def test_traffic_not_recorded_by_default():
     mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 2048, "gemm")
     env.run()
     assert mc.traffic == {}
+
+
+def test_submit_bulk_full_quanta_then_rounded_up_remainder():
+    env = Environment()
+    mc = make_mc(env, quantum=1024)
+    events = mc.submit_bulk(AccessKind.WRITE, Stream.COMPUTE, 2500.25, "gemm",
+                            wg_id=7, chunk_id=2)
+    env.run()
+    requests = [event.value for event in events]
+    assert [r.nbytes for r in requests] == [1024, 1024, 453]
+    assert [r.req_id for r in requests] == sorted(r.req_id for r in requests)
+    assert all(r.counter_key == "gemm.write" and r.wg_id == 7
+               and r.chunk_id == 2 and r.wf_id is None for r in requests)
+    assert mc.counters.get("gemm.write") == 2501
+
+
+def test_round_robin_channel_index_carries_over_calls():
+    env = Environment()
+    mc = make_mc(env, quantum=1024, n_channels=3)
+    mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 1024, "gemm")  # ch0
+    mc.submit_bulk(AccessKind.READ, Stream.COMM, 2048, "rs")  # ch1, ch2
+    mc.submit(MemRequest(AccessKind.READ, Stream.COMPUTE, 100, "gemm"))  # ch0
+    mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 1024, "gemm")  # ch1
+    assert [c.bytes_enqueued for c in mc.channels] == [1124, 2048, 1024]
+    env.run()
+    assert [c.bytes_serviced for c in mc.channels] == [1124, 2048, 1024]
+
+
+def test_bulk_and_single_submits_keep_outstanding_counts():
+    env = Environment()
+    mc = make_mc(env, quantum=1024)
+    mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 3000, "gemm")
+    mc.submit_bulk(AccessKind.UPDATE, Stream.COMM, 2048, "rs")
+    mc.submit(MemRequest(AccessKind.WRITE, Stream.COMM, 10, "dma"))
+    assert mc.outstanding(Stream.COMPUTE) == 3
+    assert mc.outstanding(Stream.COMM) == 3
+    compute_drained = mc.drain(Stream.COMPUTE)
+    comm_drained = mc.drain(Stream.COMM)
+    env.run()
+    assert compute_drained.fired and comm_drained.fired
+    assert mc.outstanding(Stream.COMPUTE) == mc.outstanding(Stream.COMM) == 0
+    assert mc.drain(Stream.COMPUTE).triggered  # idle stream: immediate
+
+
+def test_merged_traffic_accepts_an_iterator():
+    env = Environment()
+    mc = make_mc(env, record=True)
+    mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 2048, "gemm")
+    mc.submit_bulk(AccessKind.WRITE, Stream.COMPUTE, 1024, "gemm")
+    env.run()
+    keys = ["gemm.read", "gemm.write"]
+    from_list = mc.merged_traffic(keys)
+    from_iter = mc.merged_traffic(key for key in keys)
+    assert from_iter.name == from_list.name == "gemm.read+gemm.write"
+    assert from_iter.times == from_list.times
+    assert from_iter.values == from_list.values
+    assert from_iter.total() == 3072

@@ -1,5 +1,8 @@
 """Unit tests for the HBM channel model (repro.memory.dram)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.memory.arbiter import ComputePriorityPolicy, MCAPolicy, RoundRobinPolicy
@@ -7,6 +10,8 @@ from repro.memory.dram import HBMChannel
 from repro.memory.request import AccessKind, MemRequest, Stream
 from repro.config import MCAConfig
 from repro.sim import Environment
+from repro.sim.machines import CallbackMachine
+from repro.sim.primitives import ReusableTimer
 
 
 def make_channel(env, bw=100.0, depth=4, ccdwl=2.0, policy=None, on_serviced=None):
@@ -150,3 +155,141 @@ def test_utilization_accounting():
     env.run()
     assert channel.utilization(20.0) == pytest.approx(0.5)
     assert channel.utilization(0) == 0.0
+
+
+# -- request lifecycle: completions nobody awaits fire in place -------------
+
+
+def _service_trace(subscribe):
+    """Serve a mixed stream batch; optionally subscribe to every completion."""
+    env = Environment()
+    policy = MCAPolicy(MCAConfig(starvation_limit_ns=50.0))
+    policy.calibrate(0.5)
+    channel = make_channel(env, bw=10.0, depth=3, policy=policy)
+    requests = [req(stream=Stream.COMM if i % 3 else Stream.COMPUTE,
+                    kind=AccessKind.UPDATE if i % 3 else AccessKind.WRITE,
+                    nbytes=100 + 10 * i) for i in range(12)]
+    for r in requests:
+        channel.submit(r)
+        if subscribe:
+            r.done.add_callback(lambda ev: None)
+    end = env.run()
+    return env.events_fired, end, [r.serviced_at for r in requests]
+
+
+def test_unawaited_completion_skips_the_schedule():
+    awaited_events, awaited_end, awaited_times = _service_trace(True)
+    bare_events, bare_end, bare_times = _service_trace(False)
+    # Same service order and times; one engine event fewer per request.
+    assert bare_times == awaited_times and bare_end == awaited_end
+    assert awaited_events - bare_events == 12
+
+
+def test_unawaited_completion_is_fired_with_the_request_as_value():
+    env = Environment()
+    channel = make_channel(env)
+    r = req(nbytes=100)
+    channel.submit(r)
+    done = r.done
+    env.run()
+    assert done.triggered and done.fired and done.ok
+    assert done.value is r
+    assert r.done is None  # released once serviced: no request/event cycle
+
+
+def test_late_subscriber_to_fired_completion_runs_immediately():
+    env = Environment()
+    channel = make_channel(env)
+    r = req(nbytes=100)
+    channel.submit(r)
+    done = r.done
+    env.run()
+    seen = []
+    done.add_callback(lambda ev: seen.append((env.now, ev.value)))
+    assert seen == [(env.now, r)]
+
+
+def test_awaited_completion_fires_from_the_now_queue_in_fifo_order():
+    env = Environment()
+    order = []
+
+    def on_serviced(r):
+        # An event queued at service time lands behind the completion.
+        order.append(("serviced", r.req_id))
+        marker = env.event()
+        marker.add_callback(lambda ev, i=r.req_id: order.append(("after", i)))
+        marker.succeed()
+
+    channel = make_channel(env, on_serviced=on_serviced)
+    requests = [req(nbytes=100) for _ in range(3)]
+    for r in requests:
+        channel.submit(r)
+        r.done.add_callback(lambda ev: order.append(("done", ev.value.req_id)))
+    env.run()
+    expected = []
+    for r in requests:
+        expected += [("serviced", r.req_id), ("done", r.req_id),
+                     ("after", r.req_id)]
+    assert order == expected
+
+
+class _Countdown(CallbackMachine):
+    __slots__ = ("left",)
+
+    def __init__(self, env, left):
+        super().__init__(env)
+        self.left = left
+
+    def _advance(self, _event=None):
+        self.left -= 1
+        if self.left:
+            self._arm(1.0)
+
+
+def _count_down(timer):
+    if timer.value:
+        timer.arm(1.0, timer.value - 1)
+
+
+class _TimerOwner:
+    def __init__(self, env, ticks):
+        self.timer = ReusableTimer(env, _count_down)
+        self.timer.arm(1.0, ticks)
+
+
+def test_finished_objects_die_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        channel = make_channel(env)
+        r = req(nbytes=100)
+        channel.submit(r)
+        machine = _Countdown(env, 3)
+        machine.start()
+        owner = _TimerOwner(env, 3)
+        env.run()
+        assert machine.left == 0 and r.serviced_at is not None
+        assert env.now == 4.0  # the owner's timer fired four times
+        refs = [weakref.ref(obj)
+                for obj in (r, machine, owner, owner.timer)]
+        del r, machine, owner
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_timer_and_machine_rearm_reuse_one_callback_tuple():
+    env = Environment()
+    fired = []
+    timer = ReusableTimer(env, lambda ev: fired.append(env.now))
+    machine = _Countdown(env, 3)
+    timer.arm(1.0)
+    armed = timer._callbacks
+    env.run()
+    timer.arm(1.0)
+    assert timer._callbacks is armed
+    machine.start()
+    assert machine._callbacks is _Countdown._rearm
+    env.run()
+    assert fired == [1.0, 2.0] and machine.left == 0

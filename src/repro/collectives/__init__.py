@@ -1,16 +1,15 @@
-"""Collective communication: plans, schedules, analytic models, kernels.
+"""Collective communication: plans, analytic models, baseline kernels.
 
 * :mod:`repro.collectives.plan` — the :class:`CollectivePlan` IR: one
-  source of truth for per-rank step lists, chunk routes and staggered
-  production order, for flat-ring, hierarchical (multi-node), direct and
-  all-to-all collectives.
+  source of truth for per-rank step lists, chunk routes, chunk sizes and
+  staggered production order, for flat-ring, hierarchical (multi-node),
+  direct and all-to-all collectives.
 * :mod:`repro.collectives.api` — collective types plus closed-form time /
   traffic models (used for the ideal configurations and the Figure 14
   "hardware" reference).
-* :mod:`repro.collectives.schedule` — per-rank chunk schedules, now thin
-  views over the plan layer.
 * :mod:`repro.collectives.baseline` — the CU-driven collective kernels of
-  today's GPUs (Figure 10a): the thing T3 replaces.
+  today's GPUs (Figure 10a), the thing T3 replaces: one executor that
+  walks a reduce-scatter or all-gather plan.
 """
 
 from repro.collectives.api import (
@@ -35,14 +34,6 @@ from repro.collectives.plan import (
     ring_production_order,
     ring_reduce_scatter_plan,
 )
-from repro.collectives.schedule import (
-    RingStep,
-    all_to_all_schedule,
-    chunk_sizes,
-    direct_rs_peers,
-    ring_ag_schedule,
-    ring_rs_schedule,
-)
 from repro.collectives.baseline import (
     CollectiveResult,
     PlannedReduceScatter,
@@ -62,23 +53,17 @@ __all__ = [
     "RingAllGather",
     "RingAllReduce",
     "RingReduceScatter",
-    "RingStep",
     "RouteKind",
     "all_to_all_plan",
-    "all_to_all_schedule",
     "all_to_all_time",
-    "chunk_sizes",
-    "direct_rs_peers",
     "direct_rs_plan",
     "hierarchical_rs_plan",
     "plan_for",
-    "ring_ag_schedule",
     "ring_ag_time",
     "ring_all_gather_plan",
     "ring_ar_time",
     "ring_production_order",
     "ring_reduce_scatter_plan",
-    "ring_rs_schedule",
     "ring_rs_time",
     "rs_with_nmc_time",
 ]

@@ -4,13 +4,23 @@ These model today's GPU collectives (Figure 10a): GPU compute units read
 operand copies from DRAM, reduce them, and stream results over the ring —
 competing with any concurrent kernel for CUs and memory bandwidth.
 
-The run is co-simulated across every GPU of the topology.  Synchronization
-is by data arrival: step ``s`` on a rank cannot start until the chunk sent
-to it at step ``s-1`` has fully landed in its DRAM.  Within a step, reads,
-CU reduction, link serialization and remote writes are pipelined at the
+One executor walks a :class:`~repro.collectives.plan.CollectivePlan`,
+co-simulated across every GPU of the topology, and takes its cost model
+from the plan's op:
+
+* **reduce-scatter** — a forward reads every copy the rank holds of the
+  chunk (its local partial plus each partial received so far) and reduces
+  one more copy's worth of bytes on the CUs; each terminal chunk is
+  reduced locally at the end;
+* **all-gather** — a forward reads one copy and moves twice its bytes
+  through the CUs; there is no terminal step.
+
+Synchronization is by data arrival: a send waits until every chunk it
+forwards has fully landed in the rank's DRAM.  Within a send, reads, CU
+work, link serialization and remote writes are pipelined at the
 simulation quantum, so each step's duration converges to its bottleneck
-(link, DRAM or CU throughput) — the property the Figure 6 CU-sharing study
-depends on.
+(link, DRAM or CU throughput) — the property the Figure 6 CU-sharing
+study depends on.
 """
 
 from __future__ import annotations
@@ -18,17 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.collectives.plan import CollectivePlan, plan_for
-from repro.collectives.schedule import (
-    chunk_sizes,
-    ring_ag_schedule,
-    ring_rs_schedule,
+from repro.collectives.api import CollectiveOp, DEFAULT_LAUNCH_OVERHEAD_NS
+from repro.collectives.plan import (
+    CollectivePlan,
+    PlanStep,
+    plan_for,
+    ring_all_gather_plan,
+    ring_reduce_scatter_plan,
 )
-from repro.interconnect.topology import RingTopology, Topology
+from repro.interconnect.topology import Topology
 from repro.memory.request import AccessKind, Stream
 from repro.sim.engine import BaseEvent, Process
 from repro.sim.machines import CallbackMachine, CompletionGroup
 from repro.sim.primitives import Resource
+
+#: traffic-accounting label of each op the executor models.
+_LABELS = {CollectiveOp.REDUCE_SCATTER: "rs", CollectiveOp.ALL_GATHER: "ag"}
 
 
 @dataclass
@@ -62,17 +77,17 @@ class _QuantumMachine(CallbackMachine):
     enforces this).
 
     Callers guarantee ``read_bytes`` and ``cu_bytes`` are positive (every
-    ring step reads at least the local copy and reduces it).
+    forward reads at least the local copy and moves it through the CUs).
     """
 
     __slots__ = ("coll", "rank", "dst_rank", "nbytes", "read_bytes",
                  "cu_bytes", "reduce_unit", "cu_bw", "chunk_id", "group",
                  "_stage", "_pending", "_hold")
 
-    def __init__(self, coll: "_RingCollectiveBase", rank: int, dst_rank: int,
+    def __init__(self, coll: "_PlanExecutor", rank: int, dst_rank: int,
                  nbytes: int, read_bytes: int, cu_bytes: int,
                  reduce_unit: Resource, cu_bw: float,
-                 chunk_id: Optional[int], group: CompletionGroup):
+                 chunk_id: int, group: CompletionGroup):
         super().__init__(coll.env)
         self.coll = coll
         self.rank = rank
@@ -155,30 +170,45 @@ class _QuantumMachine(CallbackMachine):
             self._arm()
 
 
-class _RingCollectiveBase:
-    """Shared machinery for baseline ring collectives."""
+class _PlanExecutor:
+    """Runs one reduce-scatter or all-gather :class:`CollectivePlan` on
+    every rank of a topology with the CU-driven cost model."""
 
-    label = "collective"
-
-    def __init__(self, topology: RingTopology, nbytes_total: int,
-                 n_cus: Optional[int] = None,
-                 launch_overhead_ns: float = 2_000.0):
+    def __init__(self, topology: Topology, nbytes_total: int,
+                 plan: CollectivePlan, n_cus: Optional[int] = None):
+        if plan.n_ranks != topology.n_gpus:
+            raise ValueError(
+                f"plan covers {plan.n_ranks} ranks but the topology has "
+                f"{topology.n_gpus}")
+        if plan.op not in _LABELS:
+            raise ValueError(
+                f"the baseline executor runs reduce-scatter and all-gather "
+                f"plans, not {plan.op.value}")
+        for rank in range(plan.n_ranks):
+            for step in plan.steps(rank):
+                if step.send_chunks and \
+                        (rank, step.dst) not in topology.links:
+                    raise ValueError(
+                        f"{plan.collective} plan sends from rank {rank} to "
+                        f"rank {step.dst}, but the topology has no such "
+                        "link")
         self.topo = topology
         self.env = topology.env
         self.system = topology.system
         self.nbytes_total = nbytes_total
         self.n_cus = n_cus
-        self.launch_overhead_ns = launch_overhead_ns
-        n = topology.n_gpus
-        self.chunks = chunk_sizes(nbytes_total, n)
-        #: incoming[rank][step] fires when the chunk sent to ``rank`` at
-        #: ``step`` has fully landed in its DRAM.
-        self._incoming: List[Dict[int, BaseEvent]] = [
-            {s: BaseEvent(self.env) for s in range(1, n)} for _ in range(n)
-        ]
+        self.plan = plan
+        self.label = _LABELS[plan.op]
+        self.chunks = plan.chunk_sizes(nbytes_total)
+        #: arrival[(rank, stage, step, chunk)] fires when that chunk has
+        #: fully landed in ``rank``'s DRAM.
+        self._arrivals: Dict[Tuple[int, str, int, int], BaseEvent] = {}
+        for rank in range(plan.n_ranks):
+            for step in plan.steps(rank):
+                for cid in step.recv_chunks:
+                    self._arrivals[(rank, step.stage, step.step, cid)] = \
+                        BaseEvent(self.env)
         self.result = CollectiveResult()
-
-    # -- per-quantum pipeline -------------------------------------------------
 
     def _quanta(self, nbytes: int) -> List[int]:
         quantum = self.system.fidelity.quantum_bytes
@@ -188,26 +218,67 @@ class _RingCollectiveBase:
             sizes.append(rem)
         return sizes
 
-    def _send_chunk(self, rank: int, step: int, chunk_bytes: int,
-                    read_factor: int, cu_factor: int,
-                    reduce_unit: Resource, cu_bw: float,
-                    chunk_id: Optional[int] = None):
-        """Pipeline one chunk to the downstream neighbour; returns when it
-        has fully landed there, then fires the receiver's incoming event."""
-        dst_rank = self.topo.next_gpu(rank)
-        quanta = self._quanta(chunk_bytes)
-        group = CompletionGroup(self.env, len(quanta))
-        for q in quanta:
-            _QuantumMachine(
-                self, rank, dst_rank, q, read_factor * q, cu_factor * q,
-                reduce_unit, cu_bw, chunk_id, group).start()
+    def _send(self, rank: int, step: PlanStep, read_factor: int,
+              reduce_unit: Resource, cu_bw: float):
+        """Pipeline one step's chunks to ``step.dst``; returns once they
+        have fully landed there, then fires the receiver's arrivals."""
+        group = CompletionGroup(self.env)
+        for cid in step.send_chunks:
+            for q in self._quanta(self.chunks[cid]):
+                group.expect()
+                _QuantumMachine(
+                    self, rank, step.dst, q, read_factor * q,
+                    (read_factor + 1) * q, reduce_unit, cu_bw, cid,
+                    group).start()
         yield group
-        self._incoming[dst_rank][step].succeed()
-
-    # -- orchestration -----------------------------------------------------------
+        for cid in step.send_chunks:
+            self._arrivals[(step.dst, step.stage, step.step, cid)].succeed()
 
     def _rank_proc(self, rank: int):
-        raise NotImplementedError
+        env = self.env
+        rank_plan = self.plan.rank_plan(rank)
+        reduces = self.plan.op is CollectiveOp.REDUCE_SCATTER
+        yield env.timeout(DEFAULT_LAUNCH_OVERHEAD_NS)
+        reduce_unit = Resource(env, 1, name=f"{self.label}.cu.{rank}")
+        cu_bw = self.system.compute.reduce_bandwidth(self.n_cus)
+
+        #: copies held per chunk (1 local + received partials): what a
+        #: reduce-scatter forward reads, as in Figure 10a.
+        copies = [1] * self.plan.n_chunks
+        pending: Dict[int, List[BaseEvent]] = {}
+        for step in rank_plan.steps:
+            if step.send_chunks:
+                deps = [ev for cid in step.send_chunks
+                        for ev in pending.pop(cid, ())]
+                # A lone arrival is awaited as itself: an AllOf around it
+                # would only add an engine event.
+                if deps:
+                    yield deps[0] if len(deps) == 1 else env.all_of(deps)
+                read_factor = copies[step.send_chunks[0]] if reduces else 1
+                yield from self._send(rank, step, read_factor,
+                                      reduce_unit, cu_bw)
+            for cid in step.recv_chunks:
+                pending.setdefault(cid, []).append(
+                    self._arrivals[(rank, step.stage, step.step, cid)])
+                copies[cid] += 1
+
+        if reduces:
+            # Final local reduction of every chunk that terminates here.
+            mc = self.topo.gpus[rank].mc
+            for cid in rank_plan.terminal_chunks():
+                deps = pending.pop(cid, ())
+                if deps:
+                    yield deps[0] if len(deps) == 1 else env.all_of(deps)
+                own = self.chunks[cid]
+                held = copies[cid]
+                reads = mc.submit_bulk(
+                    AccessKind.READ, Stream.COMPUTE, held * own, self.label)
+                yield env.all_of(reads)
+                yield from reduce_unit.acquire(hold=(held + 1) * own / cu_bw)
+                writes = mc.submit_bulk(
+                    AccessKind.WRITE, Stream.COMPUTE, own, self.label)
+                yield env.all_of(writes)
+        self.result.per_rank_end[rank] = env.now
 
     def launch(self) -> List[Process]:
         self.result.start = self.env.now
@@ -228,174 +299,37 @@ class _RingCollectiveBase:
         self.result.end = self.env.now
         return self.result
 
-    def _cu_bandwidth(self) -> float:
-        return self.system.compute.reduce_bandwidth(self.n_cus)
+
+class RingReduceScatter(_PlanExecutor):
+    """Baseline flat-ring reduce-scatter (Figures 3 and 10a), on any
+    topology that wires the ring."""
+
+    def __init__(self, topology: Topology, nbytes_total: int,
+                 n_cus: Optional[int] = None):
+        super().__init__(topology, nbytes_total,
+                         ring_reduce_scatter_plan(topology.n_gpus), n_cus)
 
 
-class RingReduceScatter(_RingCollectiveBase):
-    """Baseline ring reduce-scatter (Figures 3 and 10a)."""
+class RingAllGather(_PlanExecutor):
+    """Baseline flat-ring all-gather: pure forwarding, no reduction."""
 
-    label = "rs"
-
-    def _rank_proc(self, rank: int):
-        env = self.env
-        gpu = self.topo.gpus[rank]
-        n = self.topo.n_gpus
-        yield env.timeout(self.launch_overhead_ns)
-        reduce_unit = Resource(env, 1, name=f"rs.cu.{rank}")
-        cu_bw = self._cu_bandwidth()
-
-        for ring_step in ring_rs_schedule(n, rank):
-            if ring_step.step >= 2:
-                # Need the partial received in the previous step.
-                yield self._incoming[rank][ring_step.step - 1]
-            chunk_bytes = self.chunks[ring_step.send_chunk]
-            # Step 1 reads only the fresh local copy; steady steps read the
-            # local copy plus the received partial (2 copies, Figure 10a).
-            read_factor = 1 if ring_step.step == 1 else 2
-            yield from self._send_chunk(
-                rank, ring_step.step, chunk_bytes,
-                read_factor=read_factor, cu_factor=read_factor + 1,
-                reduce_unit=reduce_unit, cu_bw=cu_bw)
-
-        # Final local reduction of this rank's own chunk.
-        yield self._incoming[rank][n - 1]
-        own = self.chunks[rank]
-        reads = gpu.mc.submit_bulk(
-            AccessKind.READ, Stream.COMPUTE, 2 * own, self.label)
-        yield env.all_of(reads)
-        yield from reduce_unit.acquire(hold=3 * own / cu_bw)
-        writes = gpu.mc.submit_bulk(
-            AccessKind.WRITE, Stream.COMPUTE, own, self.label)
-        yield env.all_of(writes)
-        self.result.per_rank_end[rank] = env.now
+    def __init__(self, topology: Topology, nbytes_total: int,
+                 n_cus: Optional[int] = None):
+        super().__init__(topology, nbytes_total,
+                         ring_all_gather_plan(topology.n_gpus), n_cus)
 
 
-class RingAllGather(_RingCollectiveBase):
-    """Baseline ring all-gather: pure forwarding, no reduction."""
-
-    label = "ag"
-
-    def _rank_proc(self, rank: int):
-        env = self.env
-        n = self.topo.n_gpus
-        yield env.timeout(self.launch_overhead_ns)
-        copy_unit = Resource(env, 1, name=f"ag.cu.{rank}")
-        cu_bw = self._cu_bandwidth()
-
-        for ring_step in ring_ag_schedule(n, rank):
-            if ring_step.step >= 2:
-                yield self._incoming[rank][ring_step.step - 1]
-            chunk_bytes = self.chunks[ring_step.send_chunk]
-            yield from self._send_chunk(
-                rank, ring_step.step, chunk_bytes,
-                read_factor=1, cu_factor=2,
-                reduce_unit=copy_unit, cu_bw=cu_bw,
-                chunk_id=ring_step.send_chunk)
-        self.result.per_rank_end[rank] = env.now
-
-
-class PlannedReduceScatter(_RingCollectiveBase):
-    """CU-driven reduce-scatter executing an arbitrary
-    :class:`~repro.collectives.plan.CollectivePlan`.
-
-    Where :class:`RingReduceScatter` is hard-wired to the flat single-ring
-    schedule, this executor walks the plan's per-rank step lists —
-    including the hierarchical two-phase (intra-node ring, then
-    per-position inter-node rings) plan — with the same quantum-pipelined
-    read/reduce/link/write cost model.  On a flat ring plan it reproduces
-    :class:`RingReduceScatter`'s behaviour; it exists so the scale-out
-    experiments have an apples-to-apples Sequential baseline on any
-    topology.
-    """
-
-    label = "rs"
+class PlannedReduceScatter(_PlanExecutor):
+    """The baseline executor on an explicit plan, by default the one
+    :func:`~repro.collectives.plan.plan_for` builds for the topology — the
+    two-phase plan on a multi-node ring, which makes this the Sequential
+    baseline of the scale-out experiments."""
 
     def __init__(self, topology: Topology, nbytes_total: int,
                  plan: Optional[CollectivePlan] = None,
-                 n_cus: Optional[int] = None,
-                 launch_overhead_ns: float = 2_000.0):
-        if plan is None:
-            plan = plan_for(topology, "ring-rs")
-        if plan.n_ranks != topology.n_gpus:
-            raise ValueError(
-                f"plan covers {plan.n_ranks} ranks but the topology has "
-                f"{topology.n_gpus}")
-        self.topo = topology
-        self.env = topology.env
-        self.system = topology.system
-        self.nbytes_total = nbytes_total
-        self.n_cus = n_cus
-        self.launch_overhead_ns = launch_overhead_ns
-        self.plan = plan
-        self.chunks = chunk_sizes(nbytes_total, plan.n_chunks)
-        #: arrival[(rank, stage, step, chunk)] fires when that chunk's
-        #: contribution has fully landed in ``rank``'s DRAM.
-        self._arrivals: Dict[Tuple[int, str, int, int], BaseEvent] = {}
-        for rank in range(plan.n_ranks):
-            for step in plan.steps(rank):
-                for cid in step.recv_chunks:
-                    self._arrivals[(rank, step.stage, step.step, cid)] = \
-                        BaseEvent(self.env)
-        self.result = CollectiveResult()
-
-    def _send_group(self, rank: int, dst_rank: int, stage: str, step: int,
-                    chunk_ids: Tuple[int, ...], read_factor: int,
-                    reduce_unit: Resource, cu_bw: float):
-        group = CompletionGroup(self.env)
-        for cid in chunk_ids:
-            for q in self._quanta(self.chunks[cid]):
-                group.expect()
-                _QuantumMachine(
-                    self, rank, dst_rank, q, read_factor * q,
-                    (read_factor + 1) * q, reduce_unit, cu_bw, cid,
-                    group).start()
-        yield group
-        for cid in chunk_ids:
-            self._arrivals[(dst_rank, stage, step, cid)].succeed()
-
-    def _rank_proc(self, rank: int):
-        env = self.env
-        gpu = self.topo.gpus[rank]
-        rank_plan = self.plan.rank_plan(rank)
-        yield env.timeout(self.launch_overhead_ns)
-        reduce_unit = Resource(env, 1, name=f"rs.cu.{rank}")
-        cu_bw = self._cu_bandwidth()
-
-        #: copies held per chunk (1 local + received partials): paces the
-        #: read/reduce cost of each forward, as in Figure 10a.
-        copies = {cid: 1 for cid in range(self.plan.n_chunks)}
-        pending: Dict[int, List[BaseEvent]] = {}
-        for step in rank_plan.steps:
-            if step.send_chunks:
-                deps = [ev for cid in step.send_chunks
-                        for ev in pending.pop(cid, [])]
-                if deps:
-                    yield env.all_of(deps)
-                read_factor = copies[step.send_chunks[0]]
-                yield from self._send_group(
-                    rank, step.dst, step.stage, step.step, step.send_chunks,
-                    read_factor, reduce_unit, cu_bw)
-            for cid in step.recv_chunks:
-                pending.setdefault(cid, []).append(
-                    self._arrivals[(rank, step.stage, step.step, cid)])
-                copies[cid] += 1
-
-        # Final local reduction of any chunk that terminates here.
-        for cid in rank_plan.terminal_chunks():
-            deps = pending.pop(cid, [])
-            if deps:
-                yield env.all_of(deps)
-            own = self.chunks[cid]
-            held = copies[cid]
-            reads = gpu.mc.submit_bulk(
-                AccessKind.READ, Stream.COMPUTE, held * own, self.label)
-            yield env.all_of(reads)
-            yield from reduce_unit.acquire(hold=(held + 1) * own / cu_bw)
-            writes = gpu.mc.submit_bulk(
-                AccessKind.WRITE, Stream.COMPUTE, own, self.label)
-            yield env.all_of(writes)
-        self.result.per_rank_end[rank] = env.now
+                 n_cus: Optional[int] = None):
+        super().__init__(topology, nbytes_total,
+                         plan or plan_for(topology, "ring-rs"), n_cus)
 
 
 class RingAllReduce:
@@ -403,24 +337,18 @@ class RingAllReduce:
 
     label = "ar"
 
-    def __init__(self, topology: RingTopology, nbytes_total: int,
-                 n_cus: Optional[int] = None,
-                 launch_overhead_ns: float = 2_000.0):
+    def __init__(self, topology: Topology, nbytes_total: int,
+                 n_cus: Optional[int] = None):
         self.topo = topology
         self.nbytes_total = nbytes_total
         self.n_cus = n_cus
-        self.launch_overhead_ns = launch_overhead_ns
         self.rs_result: Optional[CollectiveResult] = None
         self.ag_result: Optional[CollectiveResult] = None
 
     def run(self) -> CollectiveResult:
         start = self.topo.env.now
-        rs = RingReduceScatter(
-            self.topo, self.nbytes_total, n_cus=self.n_cus,
-            launch_overhead_ns=self.launch_overhead_ns)
-        self.rs_result = rs.run()
-        ag = RingAllGather(
-            self.topo, self.nbytes_total, n_cus=self.n_cus,
-            launch_overhead_ns=self.launch_overhead_ns)
-        self.ag_result = ag.run()
+        self.rs_result = RingReduceScatter(
+            self.topo, self.nbytes_total, n_cus=self.n_cus).run()
+        self.ag_result = RingAllGather(
+            self.topo, self.nbytes_total, n_cus=self.n_cus).run()
         return CollectiveResult(start=start, end=self.topo.env.now)

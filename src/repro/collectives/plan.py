@@ -9,7 +9,8 @@ collective program, per-rank schedules derived from it), this module is
 now the **only** place that arithmetic lives.  Everything else consumes a
 :class:`CollectivePlan`:
 
-* :mod:`repro.collectives.schedule` — thin per-rank views of the steps;
+* :mod:`repro.collectives.baseline` — the CU-driven baseline executor
+  walks the per-rank steps, with chunk sizes from :meth:`chunk_sizes`;
 * :class:`repro.t3.address_map.AddressSpaceConfig` — compiled from the
   plan's :class:`ChunkRoute` table (``remote_map`` / ``dma_map`` /
   terminal, with split-K-aware expected-update counts);

@@ -24,8 +24,7 @@ from repro.config import SystemConfig
 from repro.memory.arbiter import make_policy
 from repro.policy import resolve_overlap_policy
 from repro.memory.dram import HBMChannel
-from repro.memory.request import (AccessKind, MemRequest, Stream,
-                                  _request_ids, accounting_key)
+from repro.memory.request import AccessKind, MemRequest, Stream
 from repro.sim.engine import BaseEvent, Environment
 from repro.sim.stats import Counter, TimeSeries
 
@@ -78,20 +77,6 @@ class MemoryController:
 
     # -- submission -----------------------------------------------------------
 
-    def submit(self, request: MemRequest) -> BaseEvent:
-        """Submit one transaction; returns its completion event."""
-        if request.stream is Stream.COMM:
-            self._out_comm += 1
-        else:
-            self._out_compute += 1
-        channels = self.channels
-        index = self._next_channel
-        channel = channels[index]
-        index += 1
-        self._next_channel = 0 if index == len(channels) else index
-        channel.submit(request)
-        return request.done
-
     def submit_bulk(self, kind: AccessKind, stream: Stream, nbytes: float,
                     label: str, wg_id: Optional[int] = None,
                     wf_id: Optional[int] = None,
@@ -101,9 +86,9 @@ class MemoryController:
 
         Returns the completion events (one per transaction).  This runs
         once per kernel wave, DMA slice and collective step, so the
-        per-call work (accounting key, outstanding count, round-robin
-        index) is done once, and each quantum costs one request, one
-        event and one channel hand-off.
+        outstanding count and round-robin index are updated once per
+        call, and each quantum costs one request, one event and one
+        channel hand-off.
         """
         if nbytes <= 0:
             return []
@@ -114,32 +99,19 @@ class MemoryController:
             self._out_comm += count
         else:
             self._out_compute += count
-        key = accounting_key(label, kind)
         env = self.env
         channels = self.channels
         n_channels = len(channels)
         index = self._next_channel
-        new_request = object.__new__
         events = []
         append = events.append
         for offset in range(0, total, quantum):
             remaining = total - offset
-            # Every slot MemRequest.__init__ sets (see its docstring);
-            # the channel stamps issued_at.
-            request = new_request(MemRequest)
-            request.kind = kind
-            request.stream = stream
-            request.nbytes = quantum if remaining > quantum else remaining
-            request.label = label
-            request.wg_id = wg_id
-            request.wf_id = wf_id
-            request.chunk_id = chunk_id
-            request.req_id = next(_request_ids)
-            request.counter_key = key
-            request.serviced_at = None
-            request.done = done = BaseEvent(env)
+            done = BaseEvent(env)
             append(done)
-            channels[index].submit(request)
+            channels[index].submit(MemRequest(
+                kind, stream, quantum if remaining > quantum else remaining,
+                label, wg_id, wf_id, chunk_id, done=done))
             index += 1
             if index == n_channels:
                 index = 0

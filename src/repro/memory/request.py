@@ -57,9 +57,7 @@ class MemRequest:
     """A single memory transaction of ``nbytes`` (one simulation quantum).
 
     A plain slotted class: hundreds of thousands are built per simulated
-    case.  :meth:`MemoryController.submit_bulk` fills the slots directly
-    instead of calling ``__init__`` (one accounting-key lookup per bulk
-    call instead of one per quantum), so a new slot must be set there too.
+    case.
 
     ``done`` is the completion event, attached on submit.  It fires with
     the request as its value, and the channel drops ``done`` once the

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.collectives.plan import RouteKind, ring_reduce_scatter_plan
-from repro.collectives.schedule import chunk_sizes
 from repro.gpu.dma import DMACommand
 from repro.interconnect.topology import RingTopology
 from repro.memory.request import AccessKind
@@ -53,7 +52,7 @@ class NMCReduceScatter:
         self.label = label
         n = self.system.n_gpus
         self.plan = ring_reduce_scatter_plan(n)
-        self.chunks = chunk_sizes(nbytes_total, n)
+        self.chunks = self.plan.chunk_sizes(nbytes_total)
         self._quantum = self.system.fidelity.quantum_bytes
         self.trackers: List[Tracker] = []
         self.controllers: List[TriggerController] = []

@@ -1,7 +1,7 @@
-"""Functional (value-level) verification of the collective schedules.
+"""Functional (value-level) verification of the collective plans.
 
 The timing simulator moves byte counts; these tests move *numbers*
-through exactly the same schedules and check the collective algebra:
+through exactly the same plan steps and check the collective algebra:
 
 * ring reduce-scatter: after N-1 steps, rank ``e`` holds the element-wise
   sum over all ranks of chunk ``e``;
@@ -10,17 +10,17 @@ through exactly the same schedules and check the collective algebra:
   produces byte-for-byte the same result as the reference reduce-scatter;
 * direct-RS and all-to-all do too.
 
-If a schedule or address map were wrong, numbers — not just byte counts —
+If a plan or address map were wrong, numbers — not just byte counts —
 would come out wrong here.
 """
 
 import numpy as np
 import pytest
 
-from repro.collectives.schedule import (
-    all_to_all_schedule,
-    ring_ag_schedule,
-    ring_rs_schedule,
+from repro.collectives.plan import (
+    all_to_all_plan,
+    ring_all_gather_plan,
+    ring_reduce_scatter_plan,
 )
 from repro.t3.address_map import AddressSpaceConfig, RouteKind
 
@@ -45,17 +45,16 @@ def test_ring_rs_schedule_reduces_correctly(n):
     inputs = make_inputs(n)
     # working[rank][chunk]: the partial each rank currently holds.
     working = [[chunk.copy() for chunk in row] for row in inputs]
-    schedules = [ring_rs_schedule(n, rank) for rank in range(n)]
+    plan = ring_reduce_scatter_plan(n)
 
     for step_index in range(n - 1):
         # All sends of this step happen "simultaneously": snapshot first.
         outbox = {}
         for rank in range(n):
-            step = schedules[rank][step_index]
-            outbox[rank] = (step.send_chunk, working[rank][step.send_chunk])
-        for rank in range(n):
-            send_chunk, payload = outbox[rank]
-            dst = (rank - 1) % n
+            step = plan.steps(rank)[step_index]
+            (send_chunk,) = step.send_chunks
+            outbox[rank] = (step.dst, send_chunk, working[rank][send_chunk])
+        for dst, send_chunk, payload in outbox.values():
             # Receiver reduces the arriving partial into its local copy.
             working[dst][send_chunk] = working[dst][send_chunk] + payload
 
@@ -70,19 +69,17 @@ def test_ring_ag_schedule_gathers_everything(n):
     reduced = [np.full(4, fill_value=rank, dtype=np.int64)
                for rank in range(n)]
     held = [{rank: reduced[rank]} for rank in range(n)]
-    schedules = [ring_ag_schedule(n, rank) for rank in range(n)]
+    plan = ring_all_gather_plan(n)
 
     for step_index in range(n - 1):
         outbox = {}
         for rank in range(n):
-            step = schedules[rank][step_index]
-            assert step.send_chunk in held[rank], (
-                f"rank {rank} forwards chunk {step.send_chunk} before "
-                "receiving it")
-            outbox[rank] = (step.send_chunk, held[rank][step.send_chunk])
-        for rank in range(n):
-            chunk_id, payload = outbox[rank]
-            dst = (rank - 1) % n
+            step = plan.steps(rank)[step_index]
+            (chunk_id,) = step.send_chunks
+            assert chunk_id in held[rank], (
+                f"rank {rank} forwards chunk {chunk_id} before receiving it")
+            outbox[rank] = (step.dst, chunk_id, held[rank][chunk_id])
+        for dst, chunk_id, payload in outbox.values():
             held[dst][chunk_id] = payload
 
     for rank in range(n):
@@ -158,8 +155,9 @@ def test_all_to_all_dataflow_exchanges_without_reduction(n):
     inputs = make_inputs(n, seed=5)
     received = [dict() for _ in range(n)]
     for rank in range(n):
-        for peer, chunk in all_to_all_schedule(n, rank):
-            received[peer][rank] = inputs[rank][chunk]
+        for step in all_to_all_plan(n).steps(rank):
+            (chunk,) = step.send_chunks
+            received[step.dst][rank] = inputs[rank][chunk]
         received[rank][rank] = inputs[rank][rank]
     for rank in range(n):
         assert set(received[rank]) == set(range(n))

@@ -1,10 +1,10 @@
 """Tests for the CollectivePlan IR and its consumers.
 
-The plan layer is the single source of truth for ring arithmetic:
-schedules, address maps and stagger orders are all views over it.  These
+The plan layer is the single source of truth for ring arithmetic: the
+baseline executor, address maps and stagger orders all consume it.  These
 tests pin the flat-ring convention (Figure 7), the hierarchical
-multi-node plan, graceful small-shape chunking, and the plan-driven CU
-reduce-scatter baseline.
+multi-node plan, graceful small-shape chunking, and the plan-walking CU
+baseline executor.
 """
 
 import pytest
@@ -15,7 +15,11 @@ from repro.collectives.api import (
     collective_time,
     ring_ag_time,
 )
-from repro.collectives.baseline import PlannedReduceScatter, RingReduceScatter
+from repro.collectives.baseline import (
+    PlannedReduceScatter,
+    RingAllGather,
+    RingReduceScatter,
+)
 from repro.collectives.plan import (
     RouteKind,
     all_to_all_plan,
@@ -26,7 +30,6 @@ from repro.collectives.plan import (
     ring_production_order,
     ring_reduce_scatter_plan,
 )
-from repro.collectives.schedule import ring_rs_schedule
 from repro.config import table1_system
 from repro.experiments import scaleout
 from repro.faults import InvariantChecker
@@ -47,10 +50,8 @@ def test_flat_plan_matches_ring_convention():
     plan = ring_reduce_scatter_plan(n)
     plan.validate()
     for rank in range(n):
-        for step, view in zip(plan.steps(rank), ring_rs_schedule(n, rank)):
+        for step in plan.steps(rank):
             assert step.dst == (rank - 1) % n
-            assert step.send_chunks == (view.send_chunk,)
-            assert step.recv_chunks == (view.recv_chunk,)
         routes = plan.routes(rank)
         assert routes[rank].kind is RouteKind.LOCAL_TERMINAL
         assert routes[(rank + 1) % n].kind is RouteKind.REMOTE_UPDATE
@@ -157,18 +158,65 @@ def test_fused_t3_runs_multi_node():
     assert result.duration > 0
 
 
-# ------------------------------------------- plan-driven CU reduce-scatter
+# ---------------------------------------------- plan-walking CU baseline
+
+#: (duration ns, events fired) of the 16 MiB collectives on a fresh 8-GPU
+#: table1 ring, recorded with the hard-wired ring kernels this executor
+#: replaced.
+RING_RS_16MIB = (227054.03319727848, 34857)
+RING_AG_16MIB = (213111.68644688601, 27801)
+
+
+def _run_on_fresh_ring(make, n_gpus=8):
+    env = Environment()
+    topo = RingTopology(env, table1_system(n_gpus=n_gpus))
+    result = make(topo).run()
+    return result, env, topo
+
 
 def test_planned_rs_matches_ring_rs_on_flat_ring():
-    def run(cls):
-        env = Environment()
-        topo = RingTopology(env, table1_system(n_gpus=8))
-        res = cls(topo, nbytes_total=16 * 1024 * 1024).run()
-        return res.duration, dict(res.per_rank_end)
+    for cls in (RingReduceScatter, PlannedReduceScatter):
+        result, env, _ = _run_on_fresh_ring(
+            lambda topo: cls(topo, nbytes_total=16 * 1024 * 1024))
+        assert (result.duration, env.events_fired) == RING_RS_16MIB
+        assert result.per_rank_end == {r: result.duration for r in range(8)}
 
-    legacy = run(RingReduceScatter)
-    planned = run(PlannedReduceScatter)
-    assert planned == legacy
+
+def test_ring_ag_matches_recorded_fingerprint():
+    result, env, _ = _run_on_fresh_ring(
+        lambda topo: RingAllGather(topo, nbytes_total=16 * 1024 * 1024))
+    assert (result.duration, env.events_fired) == RING_AG_16MIB
+    assert result.per_rank_end == {r: result.duration for r in range(8)}
+
+
+def test_all_gather_plan_runs_the_all_gather_cost_model():
+    """An all-gather plan is priced as an all-gather (one copy read per
+    forward, no terminal reduction), even through PlannedReduceScatter."""
+    nbytes = 8 * 1024 * 1024
+
+    def run(make):
+        result, _, topo = _run_on_fresh_ring(make, n_gpus=4)
+        return result.duration, [gpu.mc.counters.as_dict()
+                                 for gpu in topo.gpus]
+
+    planned = run(lambda topo: PlannedReduceScatter(
+        topo, nbytes, plan=ring_all_gather_plan(4)))
+    assert planned == run(lambda topo: RingAllGather(topo, nbytes))
+
+
+def test_executor_rejects_ops_it_does_not_model():
+    env = Environment()
+    topo = FullyConnectedTopology(env, table1_system(n_gpus=4))
+    with pytest.raises(ValueError, match="all-to-all"):
+        PlannedReduceScatter(topo, 8 * 1024 * 1024, plan=all_to_all_plan(4))
+
+
+def test_executor_rejects_plans_the_topology_cannot_route():
+    env = Environment()
+    topo = RingTopology(env, table1_system(n_gpus=4))
+    with pytest.raises(ValueError, match="no such link"):
+        PlannedReduceScatter(topo, 8 * 1024 * 1024, plan=direct_rs_plan(4))
+    assert env.events_fired == 0
 
 
 def test_planned_rs_completes_on_hierarchical_topology():

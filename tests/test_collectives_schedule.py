@@ -1,4 +1,4 @@
-"""Unit tests for collective schedules and analytic models."""
+"""Unit tests for collective plan steps and analytic models."""
 
 import pytest
 
@@ -12,45 +12,58 @@ from repro.collectives.api import (
     rs_wire_bytes_per_gpu,
     rs_with_nmc_time,
 )
-from repro.collectives.schedule import (
-    all_to_all_schedule,
-    chunk_sizes,
-    direct_rs_peers,
-    ring_ag_schedule,
-    ring_rs_schedule,
+from repro.collectives.plan import (
+    all_to_all_plan,
+    direct_rs_plan,
+    ring_all_gather_plan,
+    ring_reduce_scatter_plan,
 )
 from repro.config import table1_system
 
 
-# ---------------------------------------------------------------- schedules
+def sends(plan, rank):
+    return [s.send_chunks[0] for s in plan.steps(rank)]
+
+
+def recvs(plan, rank):
+    return [s.recv_chunks[0] for s in plan.steps(rank)]
+
+
+def peers(plan, rank):
+    """(destination, chunk) pairs of a direct plan, sorted."""
+    return sorted((s.dst, s.send_chunks[0]) for s in plan.steps(rank))
+
+
+# ---------------------------------------------------------------- plan steps
 
 def test_rs_schedule_has_n_minus_1_steps():
-    steps = ring_rs_schedule(4, rank=0)
+    steps = ring_reduce_scatter_plan(4).steps(0)
     assert [s.step for s in steps] == [1, 2, 3]
 
 
 def test_rs_schedule_send_chunks_follow_ring_order():
     # Device d sends chunk (d+s) mod N at step s.
-    steps = ring_rs_schedule(4, rank=1)
-    assert [s.send_chunk for s in steps] == [2, 3, 0]
-    assert [s.recv_chunk for s in steps] == [3, 0, 1]
+    plan = ring_reduce_scatter_plan(4)
+    assert sends(plan, 1) == [2, 3, 0]
+    assert recvs(plan, 1) == [3, 0, 1]
 
 
 def test_rs_final_recv_is_own_chunk():
     """After N-1 steps each rank has received its own (fully-reduced) chunk."""
     for n in (2, 4, 8):
+        plan = ring_reduce_scatter_plan(n)
         for rank in range(n):
-            steps = ring_rs_schedule(n, rank)
-            assert steps[-1].recv_chunk == rank
+            assert recvs(plan, rank)[-1] == rank
 
 
 def test_rs_every_chunk_traverses_every_rank():
     """Chunk e must be touched (sent) once by every rank except e itself."""
     n = 8
+    plan = ring_reduce_scatter_plan(n)
     senders_of = {c: set() for c in range(n)}
     for rank in range(n):
-        for step in ring_rs_schedule(n, rank):
-            senders_of[step.send_chunk].add(rank)
+        for chunk in sends(plan, rank):
+            senders_of[chunk].add(rank)
     for chunk, senders in senders_of.items():
         assert senders == set(r for r in range(n) if r != chunk)
 
@@ -62,47 +75,43 @@ def test_rs_schedule_matches_gemm_production_order():
     from repro.gpu.wavefront import GEMMShape, TileGrid
 
     n = 4
+    plan = ring_reduce_scatter_plan(n)
     for rank in range(n):
         grid = TileGrid(GEMMShape(1024, 512, 128), GEMMKernelConfig(),
                         n_cus=2, n_chunks=n, chunk_offset=rank)
         production = grid.chunk_order()
-        sends = [s.send_chunk for s in ring_rs_schedule(n, rank)]
-        assert production[:-1] == sends
+        assert production[:-1] == sends(plan, rank)
         assert production[-1] == rank  # own chunk last, for the final reduce
 
 
 def test_ag_schedule_covers_all_chunks():
     n = 4
+    plan = ring_all_gather_plan(n)
     for rank in range(n):
-        steps = ring_ag_schedule(n, rank)
-        received = {s.recv_chunk for s in steps}
-        assert received == set(range(n)) - {rank}
+        assert set(recvs(plan, rank)) == set(range(n)) - {rank}
         # First send is the rank's own (just-reduced) chunk.
-        assert steps[0].send_chunk == rank
+        assert sends(plan, rank)[0] == rank
 
 
 def test_ag_forwards_what_arrived_last_step():
-    steps = ring_ag_schedule(8, rank=3)
-    for prev, cur in zip(steps, steps[1:]):
-        assert cur.send_chunk == prev.recv_chunk
+    plan = ring_all_gather_plan(8)
+    assert sends(plan, 3)[1:] == recvs(plan, 3)[:-1]
 
 
 def test_all_to_all_and_direct_rs_cover_peers():
-    assert all_to_all_schedule(4, 1) == [(0, 0), (2, 2), (3, 3)]
-    assert direct_rs_peers(4, 2) == [(0, 0), (1, 1), (3, 3)]
+    assert peers(all_to_all_plan(4), 1) == [(0, 0), (2, 2), (3, 3)]
+    assert peers(direct_rs_plan(4), 2) == [(0, 0), (1, 1), (3, 3)]
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        ring_rs_schedule(1, 0)
+        ring_reduce_scatter_plan(1)
     with pytest.raises(ValueError):
-        ring_rs_schedule(4, 4)
-    with pytest.raises(ValueError):
-        chunk_sizes(3, 4)
+        ring_reduce_scatter_plan(4).chunk_sizes(3)
 
 
 def test_chunk_sizes_balanced_and_exact():
-    sizes = chunk_sizes(1000, 3)
+    sizes = ring_reduce_scatter_plan(3).chunk_sizes(1000)
     assert sum(sizes) == 1000
     assert max(sizes) - min(sizes) <= 1
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import table1_system
 from repro.memory.controller import MemoryController
-from repro.memory.request import AccessKind, MemRequest, Stream
+from repro.memory.request import AccessKind, Stream
 from repro.sim import Environment
 
 
@@ -22,11 +22,10 @@ def make_mc(env, policy="compute-priority", quantum=1024, record=False,
 def test_submit_returns_completion_event():
     env = Environment()
     mc = make_mc(env)
-    request = MemRequest(AccessKind.READ, Stream.COMPUTE, 512, "gemm")
-    done = mc.submit(request)
+    (done,) = mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 512, "gemm")
     env.run()
     assert done.fired
-    assert request.serviced_at is not None
+    assert done.value.serviced_at is not None
 
 
 def test_submit_bulk_quantizes():
@@ -197,7 +196,7 @@ def test_round_robin_channel_index_carries_over_calls():
     mc = make_mc(env, quantum=1024, n_channels=3)
     mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 1024, "gemm")  # ch0
     mc.submit_bulk(AccessKind.READ, Stream.COMM, 2048, "rs")  # ch1, ch2
-    mc.submit(MemRequest(AccessKind.READ, Stream.COMPUTE, 100, "gemm"))  # ch0
+    mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 100, "gemm")  # ch0
     mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 1024, "gemm")  # ch1
     assert [c.bytes_enqueued for c in mc.channels] == [1124, 2048, 1024]
     env.run()
@@ -209,7 +208,7 @@ def test_bulk_and_single_submits_keep_outstanding_counts():
     mc = make_mc(env, quantum=1024)
     mc.submit_bulk(AccessKind.READ, Stream.COMPUTE, 3000, "gemm")
     mc.submit_bulk(AccessKind.UPDATE, Stream.COMM, 2048, "rs")
-    mc.submit(MemRequest(AccessKind.WRITE, Stream.COMM, 10, "dma"))
+    mc.submit_bulk(AccessKind.WRITE, Stream.COMM, 10, "dma")
     assert mc.outstanding(Stream.COMPUTE) == 3
     assert mc.outstanding(Stream.COMM) == 3
     compute_drained = mc.drain(Stream.COMPUTE)

@@ -233,6 +233,39 @@ def test_awaited_completion_fires_from_the_now_queue_in_fifo_order():
     assert order == expected
 
 
+def test_late_all_of_tied_with_in_place_completion_runs_before_later_work():
+    """Pins the one order in-place firing changes (module docstring): a
+    read nobody awaits finishes service at T, then two heap events at the
+    same T fire behind it — the first subscribes ``all_of`` to the read's
+    completion, the second queues other work.  The completion was fired in
+    place, so the ``AllOf`` is queued at subscription time and its waiter
+    runs first.  Before completions with no subscribers were fired in
+    place, the order was the reverse: the completion waited in the
+    now-queue, so the ``AllOf`` was queued only when it fired, behind the
+    other work."""
+    env = Environment()
+    channel = make_channel(env, bw=100.0)
+    read = req(nbytes=1000)  # service ends at T = 10 ns
+    channel.submit(read)
+    done = read.done
+    env.run(until=5.0)  # service is under way: its end is on the heap
+    order = []
+
+    def subscribe(_event):
+        env.all_of([done]).add_callback(lambda ev: order.append("all_of"))
+
+    def queue_other_work(_event):
+        other = env.event()
+        other.add_callback(lambda ev: order.append("other"))
+        other.succeed()
+
+    env.timeout(5.0).add_callback(subscribe)
+    env.timeout(5.0).add_callback(queue_other_work)
+    env.run()
+    assert read.serviced_at == env.now == 10.0
+    assert order == ["all_of", "other"]
+
+
 class _Countdown(CallbackMachine):
     __slots__ = ("left",)
 

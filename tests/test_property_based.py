@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core structures and invariants.
 
 These cover the algebra the whole reproduction leans on: tiling/chunking
-partitions, ring-schedule coverage, Tracker counting, cache-model
+partitions, ring-plan step coverage, Tracker counting, cache-model
 monotonicity, and the stats reducers.
 """
 
@@ -10,10 +10,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.schedule import (
-    chunk_sizes,
-    ring_ag_schedule,
-    ring_rs_schedule,
+from repro.collectives.plan import (
+    ring_all_gather_plan,
+    ring_reduce_scatter_plan,
 )
 from repro.config import GEMMKernelConfig, MemoryConfig, TrackerConfig
 from repro.gpu.wavefront import GEMMShape, TileGrid, split_evenly
@@ -104,21 +103,22 @@ def test_tilegrid_chunk_completion_monotonic(params):
     assert completion == sorted(completion)
 
 
-# ------------------------------------------------------------ ring schedules
+# ---------------------------------------------------------- ring plan steps
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 33), rank=st.integers(0, 32))
 def test_ring_rs_schedule_properties(n, rank):
     rank = rank % n
-    steps = ring_rs_schedule(n, rank)
+    steps = ring_reduce_scatter_plan(n).steps(rank)
     assert len(steps) == n - 1
     # Sends cover every chunk except the rank's own.
-    assert {s.send_chunk for s in steps} == set(range(n)) - {rank}
+    assert {s.send_chunks for s in steps} == \
+        {(c,) for c in range(n) if c != rank}
     # Last receive is the rank's own, fully-reduced chunk.
-    assert steps[-1].recv_chunk == rank
+    assert steps[-1].recv_chunks == (rank,)
     # What arrives at step s is what gets sent at step s+1.
     for prev, cur in zip(steps, steps[1:]):
-        assert cur.send_chunk == prev.recv_chunk
+        assert cur.send_chunks == prev.recv_chunks
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,19 +128,20 @@ def test_ring_rs_global_consistency(n, rank):
     neighbour (rank+1) sends."""
     rank = rank % n
     upstream = (rank + 1) % n
-    mine = ring_rs_schedule(n, rank)
-    theirs = ring_rs_schedule(n, upstream)
-    for my_step, their_step in zip(mine, theirs):
-        assert my_step.recv_chunk == their_step.send_chunk
+    plan = ring_reduce_scatter_plan(n)
+    for my_step, their_step in zip(plan.steps(rank), plan.steps(upstream)):
+        assert my_step.src == upstream and their_step.dst == rank
+        assert my_step.recv_chunks == their_step.send_chunks
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 33), rank=st.integers(0, 32))
 def test_ring_ag_covers_everything(n, rank):
     rank = rank % n
-    steps = ring_ag_schedule(n, rank)
-    assert {s.recv_chunk for s in steps} == set(range(n)) - {rank}
-    assert steps[0].send_chunk == rank
+    steps = ring_all_gather_plan(n).steps(rank)
+    assert {s.recv_chunks for s in steps} == \
+        {(c,) for c in range(n) if c != rank}
+    assert steps[0].send_chunks == (rank,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,7 +149,7 @@ def test_ring_ag_covers_everything(n, rank):
 def test_chunk_sizes_exact(total, n):
     if total < n:
         return
-    sizes = chunk_sizes(total, n)
+    sizes = ring_reduce_scatter_plan(n).chunk_sizes(total)
     assert sum(sizes) == total and len(sizes) == n
 
 
@@ -167,8 +168,9 @@ def test_ring_rs_address_map_properties(n, rank):
     for cid in config.dma_chunks():
         assert config.route(cid).dst_gpu == downstream
         assert config.route(cid).expected_updates == 2
-    # The schedule's send order equals the staggered production order.
-    sends = [s.send_chunk for s in ring_rs_schedule(n, rank)]
+    # The plan's send order equals the staggered production order.
+    sends = [s.send_chunks[0]
+             for s in ring_reduce_scatter_plan(n).steps(rank)]
     assert sends[0] == config.remote_chunks()[0]
     assert set(sends[1:]) == set(config.dma_chunks())
 
@@ -297,7 +299,6 @@ def test_utilization_tracker_matches_interval_union(spans):
 from repro.collectives.plan import (  # noqa: E402
     hierarchical_rs_plan,
     ring_production_order,
-    ring_reduce_scatter_plan,
 )
 
 
@@ -357,9 +358,10 @@ def test_hierarchical_plan_cross_rank_consistency(shape, split_k):
 @given(n=st.integers(2, 16), rank=st.integers(0, 15))
 def test_plan_views_agree_across_layers(n, rank):
     """Address-map routes, TileGrid production order and the ring-RS
-    schedule are views of one plan and must tell the same story."""
+    plan steps must tell the same story."""
     rank = rank % n
-    sends = [s.send_chunk for s in ring_rs_schedule(n, rank)]
+    sends = [s.send_chunks[0]
+             for s in ring_reduce_scatter_plan(n).steps(rank)]
     order = ring_production_order(n, rank)
     assert order == sends + [rank]
     config = AddressSpaceConfig.ring_reduce_scatter(rank, n)
@@ -376,7 +378,6 @@ def test_plan_views_agree_across_layers(n, rank):
 from repro.collectives.plan import (  # noqa: E402
     direct_rs_plan,
     hierarchical_rs_plan,
-    ring_reduce_scatter_plan,
 )
 from repro.resilience.repair import (  # noqa: E402
     demote_rank,

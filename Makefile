@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint check smoke-cache smoke-faults smoke-obs smoke-engine \
-	smoke-chaos smoke-trace smoke-policy smoke-surrogate bench profile \
-	results clean-cache
+.PHONY: test lint check smoke-cache smoke-faults smoke-obs smoke-chaos \
+	smoke-trace smoke-policy smoke-surrogate bench profile results \
+	clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -18,8 +18,8 @@ lint:
 	fi
 
 # Everything CI runs: the tier-1 suite plus lint and the smoke tests.
-check: test lint smoke-cache smoke-faults smoke-obs smoke-engine \
-	smoke-chaos smoke-trace smoke-policy smoke-surrogate
+check: test lint smoke-cache smoke-faults smoke-obs smoke-chaos \
+	smoke-trace smoke-policy smoke-surrogate
 
 # Cache smoke test: figure16 twice; the second run must hit the persistent
 # sweep cache (zero simulations), be much faster, and render identically.
@@ -36,12 +36,6 @@ smoke-faults:
 smoke-obs:
 	$(PYTHON) scripts/smoke_obs.py
 
-# Engine smoke test: the optimized scheduler renders bit-identical
-# results (plain, fault-injected, telemetry-attached) to the legacy
-# reference scheduler.
-smoke-engine:
-	$(PYTHON) scripts/smoke_engine.py
-
 # Resilience smoke test: fault-free byte-identity with the runtime
 # attached vs absent, dropped-completion recovery, ladder fallback, and
 # a seeded mini chaos campaign (100% resilient survival).
@@ -54,9 +48,8 @@ smoke-chaos:
 smoke-trace:
 	$(PYTHON) scripts/smoke_trace.py
 
-# Policy smoke test: StaticPaperPolicy is bit-identical to the
-# pre-refactor inline arbiter, no decision logic remains inline, the
-# adaptive policy survives a chaos slice and strictly reduces exposed
+# Policy smoke test: no decision logic remains inline, the adaptive
+# policy survives a chaos slice and strictly reduces exposed
 # communication on the faulty suites.
 smoke-policy:
 	$(PYTHON) scripts/smoke_policy.py

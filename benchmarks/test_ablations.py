@@ -12,8 +12,6 @@ Each benchmark isolates one knob on the T-NLG FC-2 (TP=8) sub-layer:
 
 import dataclasses
 
-import pytest
-
 from repro.config import MCAConfig, table1_system
 from repro.experiments.common import scaled_shape
 from repro.gpu.wavefront import GEMMShape

@@ -1,192 +1,34 @@
 #!/usr/bin/env python
 """Smoke test for the overlap-policy layer (the `make smoke-policy` target).
 
-The policy refactor's contract has two halves:
-
-* **Transparency** — with the default :class:`StaticPaperPolicy`, every
-  run is bit-identical to the pre-refactor arbiter: same payloads, same
-  engine event counts, same telemetry snapshot.  Checked against an
-  inline verbatim copy of the pre-refactor ``MCAPolicy`` (monkeypatched
-  into the arbiter module) and against the checked-in results files.
-* **Adaptivity is safe and pays** — :class:`AdaptiveMcaPolicy` survives
-  a seeded chaos-campaign slice with zero invariant violations, and
-  strictly reduces exposed communication time on the degraded-link and
-  straggler suites of the ``adaptive`` experiment.
+Adaptivity is safe and pays: :class:`AdaptiveMcaPolicy` survives a
+seeded chaos-campaign slice with zero invariant violations, and strictly
+reduces exposed communication time on the degraded-link and straggler
+suites of the ``adaptive`` experiment.
 
 Plus a structural gate: the tunable decision logic must live in
 ``src/repro/policy/`` only — ``memory/arbiter.py`` may not reimplement
 the intensity->threshold mapping or the occupancy comparison, and the
 trigger/DMA seams must consult the policy.
 
+Transparency of the default :class:`StaticPaperPolicy` is pinned by
+recorded fingerprints in ``tests/test_engine_regressions.py`` and by
+``tests/test_results_sync.py``.
+
 Exit status 0 on success; prints a diagnosis and exits 1 otherwise.
 """
 
-import json
 import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.config import (                                   # noqa: E402
-    MCAConfig,
-    set_default_overlap_policy,
-    table1_system,
-)
-from repro.experiments import sublayer_sweep                 # noqa: E402
-from repro.experiments.common import (                       # noqa: E402
-    _fresh_topology,
-    scaled_shape,
-)
-from repro.memory import arbiter                             # noqa: E402
-from repro.memory.arbiter import ArbitrationPolicy           # noqa: E402
-from repro.memory.request import Stream                      # noqa: E402
-from repro.models import zoo                                 # noqa: E402
-from repro.obs import MetricsRegistry                        # noqa: E402
-from repro.t3.fusion import FusedGEMMRS                      # noqa: E402
-
-
-class ReferenceMCAPolicy(ArbitrationPolicy):
-    """The pre-refactor MCAPolicy, verbatim (decision logic inline).
-
-    The ctor accepts and ignores the policy-layer wiring arguments so
-    ``make_policy`` can construct it unchanged.
-    """
-
-    name = "mca"
-
-    def __init__(self, config: MCAConfig, overlap=None, gpu_id=0,
-                 channel_id=0):
-        self.config = config
-        self._threshold = config.occupancy_thresholds[0]
-        self._last_comm_issue = 0.0
-        self.calibrations = []
-
-    @property
-    def threshold(self):
-        return self._threshold
-
-    def calibrate(self, memory_intensity: float) -> None:
-        if memory_intensity < 0:
-            raise ValueError("memory intensity cannot be negative")
-        self.calibrations.append(memory_intensity)
-        thresholds = self.config.occupancy_thresholds
-        for breakpoint_value, threshold in zip(
-            self.config.intensity_breakpoints, thresholds
-        ):
-            if memory_intensity >= breakpoint_value:
-                self._threshold = threshold
-                return
-        self._threshold = thresholds[-1]
-
-    def choose(self, state):
-        if state.compute_waiting > 0:
-            if (
-                state.comm_waiting > 0
-                and state.now - self._last_comm_issue
-                > self.config.starvation_limit_ns
-            ):
-                return Stream.COMM
-            return Stream.COMPUTE
-        if state.comm_waiting > 0 and self._comm_allowed(state):
-            return Stream.COMM
-        return None
-
-    def _comm_allowed(self, state):
-        if self._threshold is None:
-            return True
-        return state.dram_occupancy < self._threshold
-
-    def on_issue(self, stream, now):
-        if stream is Stream.COMM:
-            self._last_comm_issue = now
-
-
-def with_reference_arbiter(fn):
-    """Run ``fn()`` with the pre-refactor MCA policy class installed."""
-    original = arbiter.MCAPolicy
-    arbiter.MCAPolicy = ReferenceMCAPolicy
-    try:
-        return fn()
-    finally:
-        arbiter.MCAPolicy = original
-
-
-def simulate():
-    suite = sublayer_sweep.simulate_case(
-        zoo.t_nlg().sublayer("OP", 4), sublayer_sweep.FAST_SCALE,
-        table1_system(n_gpus=4), ["Sequential", "T3-MCA"])
-    return json.dumps(suite.to_dict(), sort_keys=True)
-
-
-def fused_run():
-    """One fused GEMM-RS run with telemetry; returns comparable facts."""
-    sub = zoo.t_nlg().sublayer("OP", 4)
-    system = table1_system(n_gpus=4)
-    tiles_n = max(1, sub.gemm.n // system.gemm.macro_tile_n)
-    rows_needed = -(-sub.tp // tiles_n)  # ceil
-    shape = scaled_shape(sub.gemm, sublayer_sweep.FAST_SCALE,
-                         min_m=rows_needed * system.gemm.macro_tile_m)
-    registry = MetricsRegistry()
-    env, topo = _fresh_topology(system, "mca", obs=registry)
-    result = FusedGEMMRS(topo, shape, calibrate_mca=True).run()
-    return {
-        "events_fired": env.events_fired,
-        "now": env.now,
-        "duration": result.duration,
-        "snapshot": json.dumps(registry.snapshot(), sort_keys=True),
-    }
-
-
-def check_reference_equivalence(failures):
-    """1. StaticPaperPolicy == the pre-refactor inline arbiter, bit for
-    bit: suite payload, event count, sim clock, telemetry snapshot."""
-    refactored = simulate()
-    reference = with_reference_arbiter(simulate)
-    if refactored != reference:
-        failures.append("static policy's sweep payload differs from the "
-                        "pre-refactor arbiter")
-    else:
-        print(f"OK reference: identical suite payload "
-              f"({len(refactored)} bytes)")
-
-    refactored = fused_run()
-    reference = with_reference_arbiter(fused_run)
-    diverged = [key for key in ("events_fired", "now", "duration")
-                if refactored[key] != reference[key]]
-    if refactored["snapshot"] != reference["snapshot"]:
-        diverged.append("snapshot")
-    if diverged:
-        failures.append("fused run diverged from the pre-refactor "
-                        f"arbiter on: {', '.join(diverged)}")
-    else:
-        print(f"OK reference: fused run {refactored['events_fired']} "
-              f"events, {refactored['duration']:.0f} ns, identical "
-              "telemetry snapshot")
-
-
-def check_results_regenerate(failures):
-    """2. Cheap checked-in results regenerate body-identically under the
-    Static default (timing stamps aside)."""
-    from repro.experiments.runner import EXPERIMENTS
-    for name in ("table1", "figure4"):
-        rendered = EXPERIMENTS[name](fast=True).render().splitlines()
-        target = REPO_ROOT / "results" / f"{name}.txt"
-        checked = [line for line in target.read_text().splitlines()
-                   if not line.startswith("[")]
-        while checked and not checked[-1]:
-            checked.pop()
-        while rendered and not rendered[-1]:
-            rendered.pop()
-        if rendered != checked:
-            failures.append(f"results/{name}.txt no longer regenerates "
-                            "identically under the static default")
-        else:
-            print(f"OK results: {name} regenerates byte-identically")
+from repro.config import set_default_overlap_policy          # noqa: E402
 
 
 def check_no_inline_decisions(failures):
-    """3. Decision logic lives in repro.policy only: the consuming
+    """1. Decision logic lives in repro.policy only: the consuming
     modules hold the seams, not the policy math."""
     src = REPO_ROOT / "src" / "repro"
     arbiter_text = (src / "memory" / "arbiter.py").read_text()
@@ -207,7 +49,7 @@ def check_no_inline_decisions(failures):
 
 
 def check_adaptive_chaos(failures):
-    """4. The adaptive policy survives a seeded chaos slice: 100%
+    """2. The adaptive policy survives a seeded chaos slice: 100%
     survival, zero invariant violations, zero watchdog hangs."""
     from repro.experiments import chaos
     previous = set_default_overlap_policy("adaptive")
@@ -232,7 +74,7 @@ def check_adaptive_chaos(failures):
 
 
 def check_adaptive_pays(failures):
-    """5. Adaptive strictly reduces exposed communication time on the
+    """3. Adaptive strictly reduces exposed communication time on the
     degraded-link and straggler probes."""
     from repro.experiments import adaptive
     result = adaptive.quick_policy_point(fast=True)
@@ -249,8 +91,6 @@ def check_adaptive_pays(failures):
 
 def main() -> int:
     failures = []
-    check_reference_equivalence(failures)
-    check_results_regenerate(failures)
     check_no_inline_decisions(failures)
     check_adaptive_chaos(failures)
     check_adaptive_pays(failures)

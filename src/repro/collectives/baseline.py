@@ -73,8 +73,8 @@ class _QuantumMachine(CallbackMachine):
     quantum.  Every boundary is scheduled at exactly the slot the
     generator version's event occupied (see ``repro.sim.machines``), so
     firing order — and therefore every DRAM arbitration decision — is
-    bit-identical to the process version (``scripts/smoke_engine.py``
-    enforces this).
+    bit-identical to the process version (the recorded fingerprints in
+    ``tests/test_engine_regressions.py`` enforce this).
 
     Callers guarantee ``read_bytes`` and ``cu_bytes`` are positive (every
     forward reads at least the local copy and moves it through the CUs).

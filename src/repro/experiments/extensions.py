@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.config import table1_system
 from repro.experiments.common import scaled_shape, run_sublayer_suite

@@ -35,7 +35,7 @@ The dormant-until-fault arming is what keeps fault-free runs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.resilience.detect import (

@@ -4,25 +4,12 @@ Simulation time is a ``float`` in *nanoseconds* throughout this repository
 (see :mod:`repro.units`).  Events scheduled at the same timestamp are fired
 in FIFO order of scheduling, which keeps runs deterministic.
 
-Two schedulers implement that contract:
-
-* ``"optimized"`` (the default) — the hot path.  ``run()`` inlines the
-  pop/fire/resume cycle into a single loop with localized references,
-  batches same-timestamp firings without re-entering the dispatcher, and
-  pre-resolves the watchdog checks so an unbounded run pays nothing for
-  limits it did not configure.
-* ``"legacy"`` — the reference implementation: a plain loop over
-  :meth:`Environment.step`, preserved verbatim so the optimized path can
-  be proven *bit-identical* against it (``scripts/smoke_engine.py`` and
-  the hypothesis equivalence suite assert identical events fired, final
-  times, and results on both).
-
-Both schedulers share one event representation and one
-:meth:`Environment.schedule` ordering rule — a heap of ``(time, seq,
-event)`` with a monotonically increasing ``seq`` as the FIFO tie-break,
-fronted by a plain FIFO deque for events landing at the *current*
-timestamp — so their firing order is equal by construction; the gates
-exist to keep it that way mechanically.
+One ordering rule, kept by every loop that fires events (``run()``'s
+unbounded and bounded loops, :meth:`Environment.step`): the schedule is
+a heap of ``(time, seq, event)`` with a monotonically increasing ``seq``
+as the FIFO tie-break, fronted by a plain FIFO deque for events landing
+at the *current* timestamp, and it is drained as same-time heap entries
+first, then the deque, then the clock advances to the next heap entry.
 
 The deque fast path is safe because of a structural invariant: any heap
 entry at time ``T`` was pushed *before* the clock reached ``T`` (time
@@ -31,49 +18,22 @@ zero-delay event scheduled once the clock arrived at ``T``.  Draining
 same-time heap entries first, then the deque, reproduces exactly the
 order the single heap produced, while ~70% of all events (zero-delay
 wakes, completions, boots) skip tuple construction and heap
-percolation entirely.
+percolation entirely.  Recorded per-case fingerprints (suite payloads,
+event counts, final times, telemetry snapshots) in
+``tests/test_engine_regressions.py`` pin that order.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-#: the two event-loop implementations (see module docstring).
-SCHEDULERS = ("optimized", "legacy")
-
-_default_scheduler = os.environ.get("REPRO_T3_SCHEDULER", "optimized")
-if _default_scheduler not in SCHEDULERS:  # pragma: no cover - env guard
-    raise RuntimeError(
-        f"REPRO_T3_SCHEDULER={_default_scheduler!r} is not one of "
-        f"{SCHEDULERS}")
-
 # Resolved lazily to avoid a circular import (primitives imports engine).
 _Timeout = None
 _AllOf = None
 _AnyOf = None
-
-
-def default_scheduler() -> str:
-    """The scheduler new :class:`Environment` instances use."""
-    return _default_scheduler
-
-
-def set_default_scheduler(name: str) -> str:
-    """Set the process-wide default scheduler; returns the previous one.
-
-    The smoke gate and the equivalence tests flip this around otherwise
-    identical runs to prove the optimized loop transparent.
-    """
-    global _default_scheduler
-    if name not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r}; pick from {SCHEDULERS}")
-    previous = _default_scheduler
-    _default_scheduler = name
-    return previous
 
 
 class SimulationError(RuntimeError):
@@ -212,33 +172,42 @@ class Process(BaseEvent):
         return not self._triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`~repro.sim.primitives.Interrupt` into the process."""
+        """Throw :class:`~repro.sim.primitives.Interrupt` into the process,
+        delivered by a zero-delay kick event failed with it."""
         from repro.sim.primitives import Interrupt
 
         if self._triggered:
             return
-        target = self._waiting_on
-        if target is not None:
-            # Detach from whatever we were waiting on (including the boot
-            # event of a never-resumed process).
-            callbacks = target._callbacks
-            if callbacks is not None:
-                try:
-                    callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-                if not callbacks and not target._fired:
-                    # Nobody is listening any more: let stateful events
-                    # (queued resource grants) cancel themselves.
-                    target._abandon()
-            self._waiting_on = None
+        self._detach()
         kick = BaseEvent(self.env)
-        kick._callbacks.append(lambda ev: self._step(throw=Interrupt(cause)))
-        kick.succeed()
+        kick._callbacks.append(self._kick)
+        kick.fail(Interrupt(cause))
+
+    def _detach(self) -> None:
+        """Drop the wait on ``_waiting_on`` (boot event included)."""
+        target = self._waiting_on
+        if target is None:
+            return
+        self._waiting_on = None
+        callbacks = target._callbacks
+        if callbacks is not None:
+            try:
+                callbacks.remove(self._resume)
+            except ValueError:
+                pass
+            if not callbacks and not target._fired:
+                # Nobody is listening any more: let stateful events
+                # (queued resource grants) cancel themselves.
+                target._abandon()
+
+    def _kick(self, kick: BaseEvent) -> None:
+        # Detach again: an earlier kick delivered since interrupt() may have
+        # left the generator waiting on a new event, which must not resume it.
+        self._detach()
+        self._resume(kick)
 
     def _resume(self, event: BaseEvent) -> None:
-        # The merged resume/step fast path: one call per fired event.
-        # Mirrors _step(); keep the two in lockstep.
+        # The single resume path: one call per fired event.
         self._waiting_on = None
         if self._triggered:
             return
@@ -268,49 +237,17 @@ class Process(BaseEvent):
         self._waiting_on = target
         callbacks.append(self._resume)
 
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
-        if self._triggered:
-            return
-        try:
-            if throw is not None:
-                target = self._generator.throw(throw)
-            else:
-                target = self._generator.send(send)
-        except StopIteration as stop:
-            self.succeed(getattr(stop, "value", None))
-            return
-        except BaseException as exc:
-            if self._callbacks:
-                self.fail(exc)
-                return
-            raise
-        if not isinstance(target, BaseEvent):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield events (Timeout, Event, Process, resource requests...)"
-            )
-        self._waiting_on = target
-        target.add_callback(self._resume)
-
 
 class Environment:
     """The simulation clock plus the pending-event heap."""
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, BaseEvent]] = []
         #: events scheduled at exactly the current timestamp — the
         #: array-backed fast lane of the schedule (see module docstring).
         self._now_q: deque[BaseEvent] = deque()
         self._seq = 0
-        if scheduler is None:
-            scheduler = _default_scheduler
-        elif scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
-        #: which event loop run() uses; see the module docstring.
-        self.scheduler = scheduler
         self.active_processes = 0
         #: optional repro.analysis.trace.TraceRecorder; components record
         #: execution spans into it when set.
@@ -391,17 +328,14 @@ class Environment:
         module docstring for why this preserves the single-heap firing
         order exactly.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay} ns in the past")
+        if not delay >= 0:  # also rejects NaN, which would corrupt the clock
+            raise SimulationError(f"invalid event delay {delay} ns (must be >= 0)")
         when = self._now + delay
         if when == self._now:
             self._now_q.append(event)
         else:
             self._seq += 1
             heappush(self._heap, (when, self._seq, event))
-
-    # Backward-compatible private alias (pre-rewrite call sites/tests).
-    _schedule = schedule
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')``."""
@@ -509,8 +443,6 @@ class Environment:
         """
         if until is not None and until < self._now:
             raise SimulationError("run(until=...) target is in the past")
-        if self.scheduler == "legacy":
-            return self._run_legacy(until)
         if until is None and self.max_events is None and self.max_sim_ns is None:
             return self._run_fast()
         return self._run_bounded(until)
@@ -520,10 +452,9 @@ class Environment:
 
         Pop/fire is inlined (no step() or _fire() calls per event) with
         the heap, the now-queue, heappop, and the fired counter
-        localized.  Identical firing order to the legacy loop by
-        construction: both consume the same dual-lane schedule through
-        the same drain rule (same-time heap entries, then the now-queue,
-        then advance the clock).
+        localized.  Identical firing order to :meth:`_run_bounded` and
+        :meth:`step` by construction: all three follow the drain rule of
+        the module docstring.
         """
         heap = self._heap
         now_q = self._now_q
@@ -617,19 +548,6 @@ class Environment:
             if callbacks:
                 for fn in callbacks:
                     fn(event)
-        if until is not None:
-            self._now = until
-        return self._now
-
-    def _run_legacy(self, until: Optional[float]) -> float:
-        """The reference loop: one :meth:`step` per event, with no
-        inlining or localization.  Kept for the transparency gates."""
-        while self._heap or self._now_q:
-            when = self.peek()
-            if until is not None and when > until:
-                self._now = until
-                return self._now
-            self.step()
         if until is not None:
             self._now = until
         return self._now

@@ -14,8 +14,8 @@ each boundary is armed at exactly the point in the event order where
 the generator version's event (boot, ``AllOf`` completion, process
 completion) was scheduled, so the firing order — and therefore every
 queue length any arbitration policy observes — is bit-identical to the
-process version.  ``scripts/smoke_engine.py`` and the golden results
-files enforce this.
+process version.  The recorded fingerprints in the engine regression
+tests and the golden results files enforce this.
 """
 
 from __future__ import annotations

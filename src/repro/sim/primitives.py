@@ -15,7 +15,6 @@ are written in:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Iterable, List, Optional
 
 from repro.sim.engine import BaseEvent, Environment, SimulationError
@@ -44,8 +43,7 @@ class Timeout(BaseEvent):
     __slots__ = ("delay",)
 
     def __init__(self, env: Environment, delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        # A negative or NaN delay is rejected by env.schedule() below.
         self.env = env
         self._callbacks = []
         self._value = value
@@ -66,7 +64,7 @@ class ReusableTimer(BaseEvent):
     the event slots and puts the timer back on the schedule with a
     callback tuple built once, so a re-arm allocates nothing; firing
     happens through the ordinary engine loop, so recycling is invisible
-    to both schedulers.  A timer therefore takes no extra subscribers.
+    to the firing order.  A timer therefore takes no extra subscribers.
 
     The tuple holds ``fn``, usually a bound method of the owner, so an
     owner and its timer form a reference cycle that only the cycle

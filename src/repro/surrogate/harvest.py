@@ -14,7 +14,7 @@ hits.
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.common import SublayerSuite
 from repro.surrogate.features import analytic_times

@@ -23,7 +23,7 @@ regions in ``"wf"`` mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import TrackerConfig

@@ -1,17 +1,29 @@
 """Regression tests for the event-loop bugs fixed in the hot-path
-overhaul, plus property-based equivalence of the two schedulers.
+overhaul, property-based equivalence of the engine's three event loops,
+and recorded fingerprints that pin the engine's firing order.
 
-Each regression test failed against the pre-overhaul engine:
+Each regression test failed against the engine it fixed:
 
 * ``interrupt()`` on a never-resumed process double-stepped it — the
   boot event resumed the generator normally *and* the interrupt threw
   into it;
+* a second ``interrupt()`` at the same timestamp left the process
+  subscribed to the wait the first delivery entered, so it resumed
+  twice per wake from then on;
 * a waiter interrupted during ``Resource.acquire()`` leaked its unit
   (queued grants stayed in the wait queue; granted-but-uncollected
   grants swallowed the unit), permanently shrinking the resource;
 * ``AnyOf`` losers and ``AllOf`` pending children kept the composite's
   dead callbacks subscribed after the composite triggered.
+
+The fingerprints (suite payload, ``events_fired``, final time and
+telemetry snapshot digests) were recorded where the engine's former
+reference loop, the optimized loop and the pre-refactor inline MCA
+arbiter all agreed, under two ``PYTHONHASHSEED`` values.
 """
+
+import hashlib
+import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +81,33 @@ def test_interrupt_after_resume_still_works():
     env.process(killer(process))
     env.run()
     assert log == ["ran", ("interrupted", "late", 5)]
+
+
+def test_second_interrupt_at_one_timestamp_resumes_once_per_wake():
+    """Two interrupts at t=3: the first delivery lets the loop wait on a
+    new timeout, and the second must detach from that wait before it is
+    thrown in — otherwise the process stays subscribed to both timeouts
+    and logs every later wake twice."""
+    env = Environment()
+    log = []
+
+    def victim():
+        while True:
+            try:
+                yield env.timeout(10)
+                log.append(("resumed", env.now))
+            except Interrupt as exc:
+                log.append(("interrupted", exc.cause, env.now))
+
+    def killer(process):
+        yield env.timeout(3)
+        process.interrupt("a")
+        process.interrupt("b")
+
+    env.process(killer(env.process(victim())))
+    env.run(until=30)
+    assert log == [("interrupted", "a", 3), ("interrupted", "b", 3),
+                   ("resumed", 13), ("resumed", 23)]
 
 
 # ------------------------------------------------------- Resource.acquire
@@ -222,7 +261,22 @@ def test_all_of_failure_detaches_pending_children():
     assert pending._callbacks == []
 
 
-# --------------------------------------------- scheduler equivalence (PBT)
+# ------------------------------------------ event-loop equivalence (PBT)
+
+#: the three loops that fire events: run()'s unbounded loop, its
+#: watchdog-bounded loop, and a peek()+step() loop.
+_LOOPS = ("run", "bounded", "step")
+
+
+def _drain(env, loop):
+    if loop == "bounded":
+        env.configure_watchdog(max_events=10**9)
+    if loop == "step":
+        while env.peek() != float("inf"):
+            env.step()
+    else:
+        env.run()
+
 
 _STEP = st.one_of(
     st.tuples(st.just("timeout"), st.integers(0, 7)),
@@ -234,8 +288,8 @@ _STEP = st.one_of(
 _PROGRAM = st.lists(st.lists(_STEP, max_size=5), min_size=1, max_size=4)
 
 
-def _execute(scheduler, program):
-    env = Environment(scheduler=scheduler)
+def _execute(loop, program):
+    env = Environment()
     resource = Resource(env, capacity=2)
     store = Store(env)
     log = []
@@ -256,17 +310,19 @@ def _execute(scheduler, program):
 
     for pid, steps in enumerate(program):
         env.process(runner(pid, steps))
-    env.run()
+    _drain(env, loop)
     return env.now, env.events_fired, log
 
 
 @settings(deadline=None, max_examples=40)
 @given(program=_PROGRAM)
 def test_optimized_scheduler_matches_legacy(program):
-    """Both schedulers run any program to the same end time, event
+    """All three event loops run any program to the same end time, event
     count, and execution trace — the bit-identity contract at the
     engine level."""
-    assert _execute("optimized", program) == _execute("legacy", program)
+    reference = _execute("run", program)
+    for loop in _LOOPS[1:]:
+        assert _execute(loop, program) == reference, loop
 
 
 # --------------------------------- schedule() ordering edge cases
@@ -278,8 +334,8 @@ def test_schedule_same_time_events_fire_fifo():
     scheduling order.  This is the tuple-ordering edge case the old
     duplicated ``heappush`` sites each handled with their own seq
     counter; ``Environment.schedule`` is now the single seam."""
-    for scheduler in ("optimized", "legacy"):
-        env = Environment(scheduler=scheduler)
+    for loop in _LOOPS:
+        env = Environment()
         log = []
         events = [Event(env) for _ in range(8)]
         for index, event in enumerate(events):
@@ -294,8 +350,8 @@ def test_schedule_same_time_events_fire_fifo():
                 env.schedule(event, 0.0 if index % 2 == 0 else 1e-300)
 
         env.process(proc())
-        env.run()
-        assert log == [(i, 5) for i in range(8)], scheduler
+        _drain(env, loop)
+        assert log == [(i, 5) for i in range(8)], loop
 
 
 def test_schedule_rejects_negative_delay():
@@ -331,8 +387,85 @@ def test_schedule_interleaves_future_and_now_events():
     assert log == [("first", 3), ("follow", 3), ("second", 7)]
 
 
+# ----------------------------------------- recorded engine fingerprints
+
+
+def _sha(payload):
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def test_t_nlg_op_tp4_matches_recorded_fingerprints():
+    """T-NLG OP at TP=4, fast scale: the sweep payload (plain, and with
+    a seeded straggler under the invariant checker) and a fused GEMM-RS
+    run with telemetry attached reproduce their recorded fingerprints."""
+    from repro.config import table1_system
+    from repro.experiments import sublayer_sweep
+    from repro.experiments.common import _fresh_topology, scaled_shape
+    from repro.faults import FaultPlan
+    from repro.models import zoo
+    from repro.obs import MetricsRegistry
+    from repro.t3.fusion import FusedGEMMRS
+
+    sub = zoo.t_nlg().sublayer("OP", 4)
+    system = table1_system(n_gpus=4)
+
+    def suite_sha(**kwargs):
+        suite = sublayer_sweep.simulate_case(
+            sub, sublayer_sweep.FAST_SCALE, system,
+            ["Sequential", "T3-MCA"], **kwargs)
+        return _sha(suite.to_dict())
+
+    assert suite_sha() == (
+        "594de80ea16444d05876a1911fa5c4ca62f82425cd308b643a10ad4f869f2e13")
+    assert suite_sha(
+        faults=FaultPlan.straggler(gpu_id=0, factor=1.5, seed=7),
+        check_invariants=True) == (
+        "f396fd94f98198cb60b6c5730a620c562252a410af65fdbe5ecc260bacdfe5a8")
+
+    tiles_n = max(1, sub.gemm.n // system.gemm.macro_tile_n)
+    rows_needed = -(-sub.tp // tiles_n)  # ceil
+    shape = scaled_shape(sub.gemm, sublayer_sweep.FAST_SCALE,
+                         min_m=rows_needed * system.gemm.macro_tile_m)
+    registry = MetricsRegistry()
+    env, topo = _fresh_topology(system, "mca", obs=registry)
+    result = FusedGEMMRS(topo, shape, calibrate_mca=True).run()
+    assert env.events_fired == 14_717
+    assert env.now == result.duration == 137910.02618401212
+    assert _sha(registry.snapshot()) == (
+        "c0f0eadb02a6cad5b6b886edf8966aa1cb44350b57d574ad4515195e0471a2db")
+
+
 # ----------------------- converted state machines (model-layer PBT)
 
+#: first 16 hex digits of ``_sha([suite.to_dict(), snapshots])`` per
+#: (hidden, seq_len, tp, sub-layer).
+_SUBLAYER_DIGESTS = {
+    (512, 256, 2, "OP"): "8f421fcf9daef4a9",
+    (512, 256, 2, "FC-2"): "d5dcdfdf19e89a78",
+    (512, 256, 2, "IP"): "4c6eb3495f63aedf",
+    (512, 256, 4, "OP"): "ba421995093c0e4a",
+    (512, 256, 4, "FC-2"): "20d1e22d6e7b1c16",
+    (512, 256, 4, "IP"): "81584ce959deb417",
+    (512, 512, 2, "OP"): "b9de950fcefef8b6",
+    (512, 512, 2, "FC-2"): "dad304c29276fcd7",
+    (512, 512, 2, "IP"): "e845eb294d99bd7b",
+    (512, 512, 4, "OP"): "21645ca64f4049d9",
+    (512, 512, 4, "FC-2"): "feea93342d167d50",
+    (512, 512, 4, "IP"): "1d595833ad1dd601",
+    (1024, 256, 2, "OP"): "e8d3c9dbee9ed0a9",
+    (1024, 256, 2, "FC-2"): "00bee00e5cec2ac5",
+    (1024, 256, 2, "IP"): "a8a7ceb37f0abdaa",
+    (1024, 256, 4, "OP"): "77365ee3fe1e7cb3",
+    (1024, 256, 4, "FC-2"): "52acb4a2862f0339",
+    (1024, 256, 4, "IP"): "a6dbe0228087598f",
+    (1024, 512, 2, "OP"): "b80528ba938ba642",
+    (1024, 512, 2, "FC-2"): "357274e150ea5a8c",
+    (1024, 512, 2, "IP"): "a4ec2d8b40117d08",
+    (1024, 512, 4, "OP"): "a5ddb605a7ac42f3",
+    (1024, 512, 4, "FC-2"): "4bb757834afa5183",
+    (1024, 512, 4, "IP"): "267ab601d0c4fb4e",
+}
 
 _TINY_HIDDEN = st.sampled_from([512, 1024])
 _TINY_SEQ = st.sampled_from([256, 512])
@@ -340,38 +473,27 @@ _TINY_TP = st.sampled_from([2, 4])
 _TINY_SUBLAYER = st.sampled_from(["OP", "FC-2", "IP"])
 
 
-@settings(deadline=None, max_examples=6)
+@settings(deadline=None, max_examples=24)
 @given(hidden=_TINY_HIDDEN, seq_len=_TINY_SEQ, tp=_TINY_TP,
        sublayer=_TINY_SUBLAYER)
 def test_converted_machines_match_legacy_on_sublayer_cases(
         hidden, seq_len, tp, sublayer):
-    """End-to-end equivalence over the converted GEMM/DMA/link state
-    machines: a random sub-layer case simulated under both schedulers
-    must produce an identical suite payload (all config times, traffic)
-    and identical telemetry snapshots (which embed event ordering via
-    time-stamped series and end_time)."""
+    """End-to-end fingerprint of the converted GEMM/DMA/link state
+    machines: a random sub-layer case must reproduce its recorded suite
+    payload (all config times, traffic) and telemetry snapshots (which
+    embed event ordering via time-stamped series and end_time)."""
     from repro.config import table1_system
     from repro.experiments.common import run_sublayer_suite
     from repro.models.transformer import TransformerConfig
-    from repro.sim.engine import set_default_scheduler
 
     model = TransformerConfig(name="pbt", hidden=hidden, n_layers=1,
                               seq_len=seq_len, batch=1)
     sub = model.sublayer(sublayer, tp)
-    system = table1_system(n_gpus=tp)
-
-    def run_once(scheduler):
-        previous = set_default_scheduler(scheduler)
-        try:
-            registries = {}
-            suite = run_sublayer_suite(
-                system, sub.gemm, label=sub.label,
-                configs=["Sequential", "T3", "T3-MCA"],
-                obs_sink=registries)
-            snapshots = {name: registry.snapshot()
-                         for name, registry in registries.items()}
-            return suite.to_dict(), snapshots
-        finally:
-            set_default_scheduler(previous)
-
-    assert run_once("optimized") == run_once("legacy")
+    registries = {}
+    suite = run_sublayer_suite(
+        table1_system(n_gpus=tp), sub.gemm, label=sub.label,
+        configs=["Sequential", "T3", "T3-MCA"], obs_sink=registries)
+    snapshots = {name: registry.snapshot()
+                 for name, registry in registries.items()}
+    digest = _sha([suite.to_dict(), snapshots])[:16]
+    assert digest == _SUBLAYER_DIGESTS[(hidden, seq_len, tp, sublayer)]

@@ -41,8 +41,9 @@ def test_timeout_value_is_delivered():
 
 def test_negative_timeout_rejected():
     env = Environment()
-    with pytest.raises(SimulationError):
-        env.timeout(-1)
+    for delay in (-1, float("nan")):
+        with pytest.raises(SimulationError):
+            env.timeout(delay)
 
 
 def test_same_time_events_fire_fifo():
@@ -292,6 +293,6 @@ def test_peek_reports_next_event_time():
 
 def test_schedule_in_past_rejected():
     env = Environment()
-    ev = BaseEvent(env)
-    with pytest.raises(SimulationError):
-        env._schedule(ev, delay=-1)
+    for delay in (-1, float("nan")):
+        with pytest.raises(SimulationError):
+            env.schedule(BaseEvent(env), delay=delay)

@@ -19,7 +19,6 @@ from repro.surrogate import (
     analytic_times,
     harvest_cache,
     records_from_suite,
-    triaged_sweep,
 )
 from repro.surrogate.features import gemm_analytic_time
 from repro.surrogate.grid import synthetic_cases

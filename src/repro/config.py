@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -49,6 +50,27 @@ class _SerializableConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+#: (rule, test) for the count, positive and non-negative field groups.
+_FIELD_RULES = ((">= 1", lambda v: v >= 1),
+                ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
+                ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0))
+
+
+def _check_fields(config, counts: Tuple[str, ...] = (),
+                  positive: Tuple[str, ...] = (),
+                  non_negative: Tuple[str, ...] = ()) -> None:
+    """Reject values a run would only trip over later: counts below 1,
+    and rates, bandwidths, factors (> 0), latencies and limits (>= 0)
+    that are not finite.  Raises ``ValueError`` naming the field."""
+    for attrs, (rule, holds) in zip((counts, positive, non_negative),
+                                    _FIELD_RULES):
+        for attr in attrs:
+            value = getattr(config, attr)
+            if not holds(value):
+                raise ValueError(f"{type(config).__name__}.{attr} must be "
+                                 f"{rule}; got {value!r}")
+
+
 @dataclass(frozen=True)
 class ComputeConfig(_SerializableConfig):
     """Per-GPU compute resources (Table 1, "Per-GPU Config")."""
@@ -64,6 +86,12 @@ class ComputeConfig(_SerializableConfig):
     #: per cycle, reads + writes).  Calibrated so a ring-RS restricted to
     #: 8 CUs slows ~1.4x versus all 80 CUs (the paper's Figure 6 study).
     reduce_bytes_per_cu_per_cycle: float = 14.0
+
+    def __post_init__(self) -> None:
+        _check_fields(self, counts=("n_cus", "threads_per_cu"),
+                      positive=("clock_ghz", "flops_per_cu_per_cycle",
+                                "gemm_efficiency",
+                                "reduce_bytes_per_cu_per_cycle"))
 
     @property
     def peak_flops_per_ns(self) -> float:
@@ -109,6 +137,12 @@ class MemoryConfig(_SerializableConfig):
     llc_hit_exponent: float = 1.0
     llc_reuse_window_stages: int = 8
 
+    def __post_init__(self) -> None:
+        _check_fields(self, counts=("llc_banks", "n_channels",
+                                    "dram_queue_depth"),
+                      positive=("hbm_bandwidth", "dram_efficiency",
+                                "nmc_ccdwl_factor"))
+
     @property
     def effective_bandwidth(self) -> float:
         """Sustained HBM bandwidth (bytes/ns) under real access mixes."""
@@ -132,6 +166,10 @@ class LinkConfig(_SerializableConfig):
     bandwidth: float = units.gbps(75.0)
     latency_ns: float = 500.0
 
+    def __post_init__(self) -> None:
+        _check_fields(self, positive=("bandwidth",),
+                      non_negative=("latency_ns",))
+
     @property
     def bidirectional_bandwidth(self) -> float:
         return 2.0 * self.bandwidth
@@ -153,6 +191,11 @@ class GEMMKernelConfig(_SerializableConfig):
     wgs_per_cu: int = 1
     element_bytes: int = units.FP16_BYTES
 
+    def __post_init__(self) -> None:
+        _check_fields(self, counts=("macro_tile_m", "macro_tile_n",
+                                    "wfs_per_wg", "wgs_per_cu",
+                                    "element_bytes"))
+
     @property
     def wf_tile_elems(self) -> int:
         return (self.macro_tile_m * self.macro_tile_n) // self.wfs_per_wg
@@ -170,6 +213,9 @@ class TrackerConfig(_SerializableConfig):
     wf_id_bits: int = 3  # max 8 WFs per WG
     #: Tracker storage reported by the paper.
     size_bytes: int = 19 * units.KiB
+
+    def __post_init__(self) -> None:
+        _check_fields(self, counts=("n_entries", "ways"))
 
 
 @dataclass(frozen=True)
@@ -206,6 +252,7 @@ class MCAConfig(_SerializableConfig):
                 "MCAConfig intensity_breakpoints must be strictly "
                 f"decreasing (first match wins); got "
                 f"{self.intensity_breakpoints}")
+        _check_fields(self, non_negative=("starvation_limit_ns",))
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MCAConfig":
@@ -318,6 +365,10 @@ class FidelityConfig(_SerializableConfig):
     gemm_waves_per_stage: int = 16
     #: record (time, bytes) samples for traffic timelines (Figure 17).
     record_traffic: bool = False
+
+    def __post_init__(self) -> None:
+        _check_fields(self, counts=("quantum_bytes",
+                                    "gemm_waves_per_stage"))
 
 
 @dataclass(frozen=True)

@@ -572,16 +572,6 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-#: per-TP system cache (table-1 systems are pure config; safe to share).
-_SYSTEMS: Dict[int, SystemConfig] = {}
-
-
-def _system_for(n_gpus: int) -> SystemConfig:
-    if n_gpus not in _SYSTEMS:
-        _SYSTEMS[n_gpus] = table1_system(n_gpus=n_gpus)
-    return _SYSTEMS[n_gpus]
-
-
 def trace_scenario(scenario: ChaosScenario, system: SystemConfig,
                    trace_out: str) -> None:
     """Save a decomposition-grade trace of one scenario's resilient
@@ -607,11 +597,14 @@ def run(fast: bool = True, seeds: Optional[int] = None,
     """
     n_seeds = seeds if seeds is not None else (FAST_SEEDS if fast
                                                else FULL_SEEDS)
+    # Built per call: a config captures the process-wide overlap-policy
+    # default when it is constructed.
+    systems = {spec.n_gpus: table1_system(n_gpus=spec.n_gpus)
+               for spec in TOPOLOGIES}
     result = ChaosResult()
     scenarios = campaign_scenarios(seeds=n_seeds)
     for scenario in scenarios:
-        outcome = run_scenario(scenario,
-                               _system_for(scenario.topology.n_gpus))
+        outcome = run_scenario(scenario, systems[scenario.topology.n_gpus])
         result.outcomes.append(outcome)
         if progress is not None:
             progress(outcome)
@@ -621,6 +614,5 @@ def run(fast: bool = True, seeds: Optional[int] = None,
              and s.severity == "severe" and s.scheduler == "T3-MCA"),
             scenarios[0])
         trace_scenario(representative,
-                       _system_for(representative.topology.n_gpus),
-                       trace_out)
+                       systems[representative.topology.n_gpus], trace_out)
     return result

@@ -160,7 +160,7 @@ class GEMMKernel:
             yield env.timeout(self.launch_overhead_ns)
 
         stages = self.grid.stages
-        n_waves = max(1, gpu.system.fidelity.gemm_waves_per_stage)
+        n_waves = gpu.system.fidelity.gemm_waves_per_stage
         # Fault seam resolved once per kernel: env.faults never changes
         # mid-run, and an injector whose plan has no compute faults always
         # answers 1.0 — skip the per-wave query in both cases.

@@ -33,7 +33,7 @@ from typing import Any, Dict, List
 #: study's static-vs-adaptive exposed-communication comparison (see
 #: ``repro.experiments.adaptive``) — so a regression that stops the
 #: adaptive controller from paying on the faulty suites fails the bench
-#: gate, not just the smoke test.
+#: gate.
 #:
 #: v5: adds the required top-level ``throughput`` object (pure-simulation
 #: vs profiled cases/s — ``cases_per_second`` keeps its v2 meaning, the

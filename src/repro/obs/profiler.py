@@ -127,20 +127,27 @@ class StageAttribution:
         }
 
 
+def overlap_breakdown(compute: List[iv.Interval], comm: List[iv.Interval],
+                      total_ns: float) -> OverlapBreakdown:
+    """Split merged machine-level communication intervals into the part
+    under compute (hidden) and the rest (exposed).  Shared by the live
+    profiler and the post-hoc trace decomposition, which differ only in
+    where the intervals come from."""
+    return OverlapBreakdown(
+        total_ns=total_ns,
+        compute_ns=iv.total(compute),
+        comm_ns=iv.total(comm),
+        hidden_ns=iv.total(iv.intersect(comm, compute)),
+        exposed_ns=iv.total(iv.subtract(comm, compute)),
+    )
+
+
 def decompose(registry: MetricsRegistry,
               total_ns: Optional[float] = None) -> OverlapBreakdown:
     """Machine-level overlap decomposition of one profiled run."""
-    compute = compute_spans(registry)
-    comm = comm_spans(registry)
-    hidden = iv.intersect(comm, compute)
-    exposed = iv.subtract(comm, compute)
-    return OverlapBreakdown(
-        total_ns=registry.end_time() if total_ns is None else total_ns,
-        compute_ns=iv.total(compute),
-        comm_ns=iv.total(comm),
-        hidden_ns=iv.total(hidden),
-        exposed_ns=iv.total(exposed),
-    )
+    return overlap_breakdown(
+        compute_spans(registry), comm_spans(registry),
+        registry.end_time() if total_ns is None else total_ns)
 
 
 def stage_boundaries(registry: MetricsRegistry) -> List[float]:
@@ -158,11 +165,16 @@ def stage_boundaries(registry: MetricsRegistry) -> List[float]:
 
 def attribute_stages(registry: MetricsRegistry) -> List[StageAttribution]:
     """Split each GEMM-stage window into compute / hidden / exposed."""
-    boundaries = stage_boundaries(registry)
+    return stage_attribution(compute_spans(registry), comm_spans(registry),
+                             stage_boundaries(registry))
+
+
+def stage_attribution(compute: List[iv.Interval], comm: List[iv.Interval],
+                      boundaries: List[float]) -> List[StageAttribution]:
+    """The hidden / exposed split inside each GEMM-stage window; window
+    ``i`` ends at ``boundaries[i]`` and the first starts with compute."""
     if not boundaries:
         return []
-    compute = compute_spans(registry)
-    comm = comm_spans(registry)
     hidden = iv.intersect(comm, compute)
     exposed = iv.subtract(comm, compute)
     window_start = compute[0][0] if compute else 0.0
@@ -213,6 +225,13 @@ def attribute_plan_stages(registry: MetricsRegistry,
     time.  ``stage_order`` pins the output order (e.g. the plan's
     ``stage_names``); otherwise phases appear in first-activity order.
     """
+    return plan_stage_attribution(_dma_stage_spans(registry),
+                                  compute_spans(registry), stage_order)
+
+
+def _dma_stage_spans(registry: MetricsRegistry,
+                     ) -> Dict[str, List[iv.Interval]]:
+    """The ``stage.<name>`` DMA spans of every GPU, keyed by plan phase."""
     per_stage: Dict[str, List[iv.Interval]] = {}
     for scope in registry.scopes("dma"):
         for name in scope.span_names():
@@ -220,9 +239,16 @@ def attribute_plan_stages(registry: MetricsRegistry,
                 continue
             stage = name[len("stage."):]
             per_stage.setdefault(stage, []).extend(scope.spans(name).spans)
-    if not per_stage:
-        return []
-    compute = compute_spans(registry)
+    return per_stage
+
+
+def plan_stage_attribution(per_stage: Dict[str, List[iv.Interval]],
+                           compute: List[iv.Interval],
+                           stage_order: Optional[List[str]] = None,
+                           ) -> List[PlanStageSpan]:
+    """Merge each plan phase's transfers and split them into hidden
+    (under ``compute``) and exposed time; ``stage_order`` first, then
+    the remaining phases in first-activity order."""
     names = [s for s in (stage_order or []) if s in per_stage]
     names += sorted((s for s in per_stage if s not in names),
                     key=lambda s: min(start for start, _ in per_stage[s]))
@@ -291,11 +317,17 @@ def profile_case(label: str,
     case = CaseProfile(label=label)
     for config, registry in registries.items():
         total = times.get(config) if times else None
+        compute = compute_spans(registry)
+        comm = comm_spans(registry)
         case.configs[config] = ConfigProfile(
             config=config,
-            breakdown=decompose(registry, total_ns=total),
-            stages=attribute_stages(registry),
-            plan_stages=attribute_plan_stages(registry),
+            breakdown=overlap_breakdown(
+                compute, comm,
+                registry.end_time() if total is None else total),
+            stages=stage_attribution(compute, comm,
+                                     stage_boundaries(registry)),
+            plan_stages=plan_stage_attribution(_dma_stage_spans(registry),
+                                               compute),
         )
     return case
 

@@ -28,8 +28,8 @@ faults     FaultInjector observed fault incidence counters
 Every publishing site is guarded by ``env.obs is None`` — with the
 registry disabled the only cost is one attribute check, and with it
 enabled recording is strictly passive (no events are ever scheduled), so
-simulation results are bit-identical either way.  ``scripts/smoke_obs.py``
-asserts exactly that.
+simulation results are bit-identical either way.  The transparency table
+in ``tests/test_engine_regressions.py`` asserts exactly that.
 """
 
 from __future__ import annotations

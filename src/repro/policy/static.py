@@ -3,9 +3,12 @@
 Exactly the behavior that used to be hard-coded: the Section 4.5
 intensity -> threshold table at calibration, the
 ``dram_occupancy < threshold`` admission gate per arbitration round,
-eager triggering, and unpaced DMA.  ``make smoke-policy`` holds this
-implementation to byte-identical results, event counts and telemetry
-snapshots against an inline copy of the pre-refactor arbiter.
+eager triggering, and unpaced DMA.
+``tests/test_policy.py::test_static_policy_matches_inline_reference``
+holds it decision for decision to an inline copy of the pre-refactor
+arbiter, and the fingerprints recorded in
+``tests/test_engine_regressions.py`` (where the two agreed) pin whole
+runs: results, event counts and telemetry snapshots.
 """
 
 from __future__ import annotations

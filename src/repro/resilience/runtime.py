@@ -29,8 +29,9 @@ at their natural seams and it closes the loop:
   completions are re-issued so the run can resume instead of dying.
 
 The dormant-until-fault arming is what keeps fault-free runs
-**byte-identical** with the runtime attached or absent — the smoke gate
-(``scripts/smoke_chaos.py``) pins exactly that.
+**byte-identical** with the runtime attached or absent — the
+transparency table in ``tests/test_engine_regressions.py`` pins exactly
+that.
 """
 
 from __future__ import annotations

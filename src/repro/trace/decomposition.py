@@ -9,12 +9,14 @@ the identical numbers.
 The equivalence is exact, not approximate: the simulator records every
 relevant interval into both sinks at the same code site with the same
 floats (kernel spans in ``gpu.py``, link serialization in
-``primitives.py``, comm-stream DRAM service in ``dram.py``), and the
-exporter round-trips exact nanosecond endpoints through ``args``.  The
-``scripts/smoke_trace.py`` gate enforces bit-for-bit equality of
-``compute_ns`` / ``comm_ns`` / ``hidden_ns`` / ``exposed_ns`` between
-:func:`repro.obs.profiler.decompose` on the live registry and
-:func:`decompose_query` on the saved file.
+``primitives.py``, comm-stream DRAM service in ``dram.py``), the
+exporter round-trips exact nanosecond endpoints through ``args``, and
+both sides run the same interval arithmetic
+(:func:`~repro.obs.profiler.overlap_breakdown`,
+:func:`~repro.obs.profiler.stage_attribution`,
+:func:`~repro.obs.profiler.plan_stage_attribution`) — only the span
+selection below is this module's own.  ``tests/test_trace_query.py``
+pins bit-for-bit equality between the live registry and a saved file.
 
 Category mapping (trace span -> profiler scope):
 
@@ -39,7 +41,8 @@ from typing import Dict, List, Optional
 
 from repro.obs import intervals as iv
 from repro.obs.profiler import (OverlapBreakdown, PlanStageSpan,
-                                StageAttribution)
+                                StageAttribution, overlap_breakdown,
+                                plan_stage_attribution, stage_attribution)
 from repro.trace.query import TraceQuery
 
 
@@ -77,17 +80,9 @@ def decompose_query(query: TraceQuery,
     extend past the last span; the four span-derived quantities are
     always identical to the live run's.
     """
-    compute = compute_intervals(query)
-    comm = comm_intervals(query)
-    hidden = iv.intersect(comm, compute)
-    exposed = iv.subtract(comm, compute)
-    return OverlapBreakdown(
-        total_ns=query.horizon_ns if total_ns is None else total_ns,
-        compute_ns=iv.total(compute),
-        comm_ns=iv.total(comm),
-        hidden_ns=iv.total(hidden),
-        exposed_ns=iv.total(exposed),
-    )
+    return overlap_breakdown(
+        compute_intervals(query), comm_intervals(query),
+        query.horizon_ns if total_ns is None else total_ns)
 
 
 def stage_boundaries_query(query: TraceQuery) -> List[float]:
@@ -107,24 +102,8 @@ def stage_boundaries_query(query: TraceQuery) -> List[float]:
 def attribute_stages_query(query: TraceQuery) -> List[StageAttribution]:
     """Split each GEMM-stage window into compute / hidden / exposed,
     post-hoc (``obs.profiler.attribute_stages`` on a trace)."""
-    boundaries = stage_boundaries_query(query)
-    if not boundaries:
-        return []
-    compute = compute_intervals(query)
-    comm = comm_intervals(query)
-    hidden = iv.intersect(comm, compute)
-    exposed = iv.subtract(comm, compute)
-    window_start = compute[0][0] if compute else 0.0
-    attributions: List[StageAttribution] = []
-    for stage, end in enumerate(boundaries):
-        attributions.append(StageAttribution(
-            stage=stage, start_ns=window_start, end_ns=end,
-            compute_ns=iv.total(iv.clip(compute, window_start, end)),
-            hidden_ns=iv.total(iv.clip(hidden, window_start, end)),
-            exposed_ns=iv.total(iv.clip(exposed, window_start, end)),
-        ))
-        window_start = end
-    return attributions
+    return stage_attribution(compute_intervals(query), comm_intervals(query),
+                             stage_boundaries_query(query))
 
 
 def attribute_plan_stages_query(query: TraceQuery,
@@ -144,22 +123,5 @@ def attribute_plan_stages_query(query: TraceQuery,
             continue
         per_stage.setdefault(str(stage), []).append(
             (span.start_ns, span.end_ns))
-    if not per_stage:
-        return []
-    compute = compute_intervals(query)
-    names = [s for s in (stage_order or []) if s in per_stage]
-    names += sorted((s for s in per_stage if s not in names),
-                    key=lambda s: min(start for start, _ in per_stage[s]))
-    result: List[PlanStageSpan] = []
-    for stage in names:
-        spans = iv.merge(per_stage[stage])
-        hidden = iv.intersect(spans, compute)
-        result.append(PlanStageSpan(
-            stage=stage,
-            comm_ns=iv.total(spans),
-            hidden_ns=iv.total(hidden),
-            exposed_ns=iv.total(spans) - iv.total(hidden),
-            start_ns=spans[0][0],
-            end_ns=spans[-1][1],
-        ))
-    return result
+    return plan_stage_attribution(per_stage, compute_intervals(query),
+                                  stage_order)

@@ -5,8 +5,8 @@ Two layers:
 * :func:`render_timeline` — a **pure** renderer producing a string:
   one row per track, Unicode block characters shading per-column busy
   fraction, ``!``/``*`` markers for fault/resilience incidents, plus a
-  time axis and a utilization gutter.  Headless-safe (the smoke gate and
-  tests call it directly), and what ``runner trace --timeline`` prints.
+  time axis and a utilization gutter.  Headless-safe (the tests call it
+  directly), and what ``runner trace --timeline`` prints.
 * :func:`interactive` — a curses wrapper adding pan (``h``/``l`` or
   arrows), zoom (``+``/``-``), track scrolling (``j``/``k``), reset
   (``0``) and quit (``q``).  Import of ``curses`` happens inside the

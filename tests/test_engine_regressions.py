@@ -19,12 +19,17 @@ Each regression test failed against the engine it fixed:
 The fingerprints (suite payload, ``events_fired``, final time and
 telemetry snapshot digests) were recorded where the engine's former
 reference loop, the optimized loop and the pre-refactor inline MCA
-arbiter all agreed, under two ``PYTHONHASHSEED`` values.
+arbiter all agreed, under two ``PYTHONHASHSEED`` values.  The
+transparency table re-runs that case with each optional attachment
+(telemetry, trace, an empty fault plan with the invariant checker, the
+resilience runtime, an explicit static policy, and all of them) and
+requires the same fingerprints: attaching any of them changes nothing.
 """
 
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
@@ -389,10 +394,43 @@ def test_schedule_interleaves_future_and_now_events():
 
 # ----------------------------------------- recorded engine fingerprints
 
+#: T-NLG OP at TP=4, fast scale: sha256 of the Sequential + T3-MCA suite
+#: payload, and a fused T3-MCA GEMM-RS run of the same shape (engine
+#: events, final time == duration, telemetry snapshot sha256).
+T_NLG_OP_TP4_SUITE_SHA = (
+    "594de80ea16444d05876a1911fa5c4ca62f82425cd308b643a10ad4f869f2e13")
+T_NLG_OP_TP4_EVENTS = 14_717
+T_NLG_OP_TP4_END_NS = 137910.02618401212
+T_NLG_OP_TP4_SNAPSHOT_SHA = (
+    "c0f0eadb02a6cad5b6b886edf8966aa1cb44350b57d574ad4515195e0471a2db")
+
 
 def _sha(payload):
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _t_nlg_op_tp4_suite(system, **kwargs):
+    from repro.experiments import sublayer_sweep
+    from repro.models import zoo
+
+    return sublayer_sweep.simulate_case(
+        zoo.t_nlg().sublayer("OP", 4), sublayer_sweep.FAST_SCALE, system,
+        ["Sequential", "T3-MCA"], **kwargs)
+
+
+def _t_nlg_op_tp4_fused(system, **attachments):
+    """One fused T3-MCA GEMM-RS on the case's sweep shape; returns the
+    environment and the result."""
+    from repro.experiments import sublayer_sweep
+    from repro.experiments.common import _fresh_topology
+    from repro.models import zoo
+    from repro.t3.fusion import FusedGEMMRS
+
+    shape = sublayer_sweep.case_shape(zoo.t_nlg().sublayer("OP", 4),
+                                      sublayer_sweep.FAST_SCALE, system)
+    env, topo = _fresh_topology(system, "mca", **attachments)
+    return env, FusedGEMMRS(topo, shape, calibrate_mca=True).run()
 
 
 def test_t_nlg_op_tp4_matches_recorded_fingerprints():
@@ -400,40 +438,76 @@ def test_t_nlg_op_tp4_matches_recorded_fingerprints():
     a seeded straggler under the invariant checker) and a fused GEMM-RS
     run with telemetry attached reproduce their recorded fingerprints."""
     from repro.config import table1_system
-    from repro.experiments import sublayer_sweep
-    from repro.experiments.common import _fresh_topology, scaled_shape
     from repro.faults import FaultPlan
-    from repro.models import zoo
     from repro.obs import MetricsRegistry
-    from repro.t3.fusion import FusedGEMMRS
 
-    sub = zoo.t_nlg().sublayer("OP", 4)
     system = table1_system(n_gpus=4)
-
-    def suite_sha(**kwargs):
-        suite = sublayer_sweep.simulate_case(
-            sub, sublayer_sweep.FAST_SCALE, system,
-            ["Sequential", "T3-MCA"], **kwargs)
-        return _sha(suite.to_dict())
-
-    assert suite_sha() == (
-        "594de80ea16444d05876a1911fa5c4ca62f82425cd308b643a10ad4f869f2e13")
-    assert suite_sha(
-        faults=FaultPlan.straggler(gpu_id=0, factor=1.5, seed=7),
-        check_invariants=True) == (
+    assert _sha(_t_nlg_op_tp4_suite(system).to_dict()) == \
+        T_NLG_OP_TP4_SUITE_SHA
+    assert _sha(_t_nlg_op_tp4_suite(
+        system, faults=FaultPlan.straggler(gpu_id=0, factor=1.5, seed=7),
+        check_invariants=True).to_dict()) == (
         "f396fd94f98198cb60b6c5730a620c562252a410af65fdbe5ecc260bacdfe5a8")
 
-    tiles_n = max(1, sub.gemm.n // system.gemm.macro_tile_n)
-    rows_needed = -(-sub.tp // tiles_n)  # ceil
-    shape = scaled_shape(sub.gemm, sublayer_sweep.FAST_SCALE,
-                         min_m=rows_needed * system.gemm.macro_tile_m)
     registry = MetricsRegistry()
-    env, topo = _fresh_topology(system, "mca", obs=registry)
-    result = FusedGEMMRS(topo, shape, calibrate_mca=True).run()
-    assert env.events_fired == 14_717
-    assert env.now == result.duration == 137910.02618401212
-    assert _sha(registry.snapshot()) == (
-        "c0f0eadb02a6cad5b6b886edf8966aa1cb44350b57d574ad4515195e0471a2db")
+    env, result = _t_nlg_op_tp4_fused(system, obs=registry)
+    assert env.events_fired == T_NLG_OP_TP4_EVENTS
+    assert env.now == result.duration == T_NLG_OP_TP4_END_NS
+    assert _sha(registry.snapshot()) == T_NLG_OP_TP4_SNAPSHOT_SHA
+
+
+#: what each row of the transparency table attaches; ``all`` attaches
+#: every one of them at once.
+_ATTACHMENTS = ("obs", "trace", "empty-faults+invariants", "resilience",
+                "static-policy")
+
+
+@pytest.mark.parametrize("row", ("none",) + _ATTACHMENTS + ("all",))
+def test_attachments_leave_t_nlg_op_tp4_fingerprints_unchanged(row):
+    """Transparency table: telemetry, tracing, an empty fault plan with
+    the invariant checker, the dormant resilience runtime and an
+    explicit static policy each leave the recorded fingerprints exactly
+    as they are, alone and all together."""
+    from repro.analysis.trace import TraceRecorder
+    from repro.config import table1_system
+    from repro.faults import FaultPlan
+    from repro.obs import MetricsRegistry
+
+    on = set(_ATTACHMENTS) if row == "all" else {row} & set(_ATTACHMENTS)
+    system = table1_system(n_gpus=4)
+    if "static-policy" in on:
+        system = system.with_policy("static")
+    sweep, fused = {}, {}
+    if "obs" in on:
+        sweep["obs_sink"], fused["obs"] = {}, MetricsRegistry()
+    if "trace" in on:
+        sweep["trace_sink"] = {}
+        fused["trace"] = TraceRecorder(record_dram=True)
+    if "empty-faults+invariants" in on:
+        for kwargs in (sweep, fused):
+            kwargs.update(faults=FaultPlan(), check_invariants=True)
+    if "resilience" in on:
+        sweep["resilience"] = fused["resilience"] = True
+
+    suite = _t_nlg_op_tp4_suite(system, **sweep)
+    assert _sha(suite.to_dict()) == T_NLG_OP_TP4_SUITE_SHA
+    env, result = _t_nlg_op_tp4_fused(system, **fused)
+    assert env.events_fired == T_NLG_OP_TP4_EVENTS
+    assert env.now == result.duration == T_NLG_OP_TP4_END_NS
+
+    for sink in ("obs_sink", "trace_sink"):
+        if sink in sweep:
+            assert sorted(sweep[sink]) == ["Sequential", "T3-MCA"]
+            assert all(len(recorded) for recorded in sweep[sink].values())
+    if "obs" in on:
+        assert _sha(fused["obs"].snapshot()) == T_NLG_OP_TP4_SNAPSHOT_SHA
+    if "trace" in on:
+        assert len(fused["trace"])
+    if "empty-faults+invariants" in on:
+        env.invariants.check_all()
+    if "resilience" in on:
+        assert not env.resilience.armed
+        assert not env.resilience.recoveries
 
 
 # ----------------------- converted state machines (model-layer PBT)

@@ -9,7 +9,7 @@ from repro.collectives.plan import (
     hierarchical_rs_plan,
     ring_reduce_scatter_plan,
 )
-from repro.config import table1_system
+from repro.config import set_default_overlap_policy, table1_system
 from repro.experiments import chaos
 from repro.faults import FaultPlan
 from repro.resilience import (
@@ -298,6 +298,28 @@ def test_runtime_recovers_dropped_completion_end_to_end():
     assert resilient.runtime.machine.state is RunState.RECOVERED
 
 
+def test_crippled_policy_walks_the_ladder_to_fallback(monkeypatch):
+    """With every in-run recovery budget at zero, a dropped DMA
+    completion defeats RUN and RETRY, no repair applies, and the
+    scenario survives on the plan-driven Sequential FALLBACK rung."""
+    crippled = ResiliencePolicy(max_reissues_per_command=0,
+                                max_restores_per_region=0,
+                                max_deadline_extensions=0)
+    monkeypatch.setattr(chaos, "ResiliencePolicy", lambda: crippled)
+    scenario = chaos.ChaosScenario(
+        index=0, kind="dropped-dma", severity="severe",
+        topology=chaos.TOPOLOGIES[0], scheduler="T3-MCA", seed=0,
+        plan=FaultPlan.dropped_dma(gpu_id=1, max_events=2, seed=11),
+        detail="ladder walk")
+    outcome = chaos.run_scenario(
+        scenario, table1_system(n_gpus=scenario.topology.n_gpus))
+    assert not outcome.baseline_survived
+    assert outcome.rung is LadderRung.FALLBACK
+    assert outcome.resilient_survived
+    assert outcome.resilient_time == outcome.sequential_time
+    assert round(outcome.resilient_time, 2) == 31_665.05
+
+
 # ------------------------------------------------------------------- chaos
 
 
@@ -324,3 +346,19 @@ def test_chaos_link_faults_target_used_edges():
                                             spec, seed)
             entry = plan.links[0]
             assert (entry.src, entry.dst) in edges, detail
+
+
+def test_chaos_campaign_honours_the_policy_default(monkeypatch):
+    """Each campaign run builds its systems under the overlap-policy
+    default current at that run, not the one of an earlier run."""
+    for kind in ("static", "adaptive"):
+        seen = set()
+        monkeypatch.setattr(
+            chaos, "run_scenario",
+            lambda scenario, system: seen.add(system.policy.kind))
+        previous = set_default_overlap_policy(kind)
+        try:
+            chaos.run(seeds=1)
+        finally:
+            set_default_overlap_policy(previous)
+        assert seen == {kind}

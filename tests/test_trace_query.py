@@ -61,12 +61,20 @@ def query(saved):
 
 # ---------------------------------------------------------------- loading
 
-def test_from_file_matches_from_recorder(fused_run, query):
+def test_from_file_matches_from_recorder(fused_run, saved, query,
+                                        tmp_path):
     registry, trace = fused_run
     live = TraceQuery.from_recorder(trace, registry=registry)
     assert len(live) == len(query)
     assert live.categories() == query.categories()
     assert sorted(live.tracks()) == sorted(query.tracks())
+    # The merged span + counter file is byte-deterministic, and a
+    # load -> save round trip reproduces it.
+    again = tmp_path / "again.trace.json"
+    trace.save(str(again), registry=registry)
+    assert again.read_bytes() == saved.read_bytes()
+    TraceRecorder.load(str(saved)).save(str(again), registry=registry)
+    assert again.read_bytes() == saved.read_bytes()
 
 
 def test_exact_ns_round_trip(fused_run, query):

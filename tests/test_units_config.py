@@ -91,6 +91,39 @@ def test_min_gpus_enforced():
         SystemConfig(n_gpus=1)
 
 
+#: (sub-config, field, value) inputs a run used to crash on mid-way
+#: (ZeroDivisionError, IndexError, SimulationError, "GEMM never
+#: finished") or silently clamp or ignore.
+_BAD_CONFIG_VALUES = [
+    ("fidelity", "quantum_bytes", 0),
+    ("fidelity", "quantum_bytes", -4096),
+    ("fidelity", "gemm_waves_per_stage", 0),
+    ("fidelity", "gemm_waves_per_stage", -3),
+    ("gemm", "wfs_per_wg", 0),
+    ("gemm", "macro_tile_m", 0),
+    ("compute", "clock_ghz", 0),
+    ("compute", "gemm_efficiency", 0),
+    ("compute", "reduce_bytes_per_cu_per_cycle", 0),
+    ("tracker", "n_entries", 0),
+    ("memory", "n_channels", 0),
+    ("memory", "nmc_ccdwl_factor", float("nan")),
+    ("link", "bandwidth", 0),
+    ("link", "latency_ns", float("nan")),
+    ("mca", "starvation_limit_ns", float("nan")),
+]
+
+
+@pytest.mark.parametrize(
+    "section, name, value", _BAD_CONFIG_VALUES,
+    ids=[f"{s}.{n}={v}" for s, n, v in _BAD_CONFIG_VALUES])
+def test_config_rejects_values_a_run_cannot_honour(section, name, value):
+    """An accepted configuration must run clean, so each of these is a
+    ``ValueError`` naming the field at construction time."""
+    sub = getattr(table1_system(n_gpus=4), section)
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(sub, **{name: value})
+
+
 def test_replace_and_with_fidelity():
     system = table1_system()
     smaller = system.with_fidelity(quantum_bytes=4096)

@@ -5,8 +5,8 @@ operand copies from DRAM, reduce them, and stream results over the ring —
 competing with any concurrent kernel for CUs and memory bandwidth.
 
 One executor walks a :class:`~repro.collectives.plan.CollectivePlan`,
-co-simulated across every GPU of the topology, and takes its cost model
-from the plan's op:
+co-simulated across the topology's simulated GPUs, and takes its cost
+model from the plan's op:
 
 * **reduce-scatter** — a forward reads every copy the rank holds of the
   chunk (its local partial plus each partial received so far) and reduces
@@ -37,10 +37,11 @@ from repro.collectives.plan import (
     ring_reduce_scatter_plan,
 )
 from repro.interconnect.topology import Topology
+from repro.memory.controller import MemoryController
 from repro.memory.request import AccessKind, Stream
 from repro.sim.engine import BaseEvent, Process
 from repro.sim.machines import CallbackMachine, CompletionGroup
-from repro.sim.primitives import Resource
+from repro.sim.primitives import Pipe, Resource
 
 #: traffic-accounting label of each op the executor models.
 _LABELS = {CollectiveOp.REDUCE_SCATTER: "rs", CollectiveOp.ALL_GATHER: "ag"}
@@ -80,18 +81,19 @@ class _QuantumMachine(CallbackMachine):
     forward reads at least the local copy and moves it through the CUs).
     """
 
-    __slots__ = ("coll", "rank", "dst_rank", "nbytes", "read_bytes",
+    __slots__ = ("coll", "rank", "link", "dst_mc", "nbytes", "read_bytes",
                  "cu_bytes", "reduce_unit", "cu_bw", "chunk_id", "group",
                  "_stage", "_pending", "_hold")
 
-    def __init__(self, coll: "_PlanExecutor", rank: int, dst_rank: int,
-                 nbytes: int, read_bytes: int, cu_bytes: int,
-                 reduce_unit: Resource, cu_bw: float,
+    def __init__(self, coll: "_PlanExecutor", rank: int, link: Pipe,
+                 dst_mc: MemoryController, nbytes: int, read_bytes: int,
+                 cu_bytes: int, reduce_unit: Resource, cu_bw: float,
                  chunk_id: int, group: CompletionGroup):
         super().__init__(coll.env)
         self.coll = coll
         self.rank = rank
-        self.dst_rank = dst_rank
+        self.link = link
+        self.dst_mc = dst_mc
         self.nbytes = nbytes
         self.read_bytes = read_bytes
         self.cu_bytes = cu_bytes
@@ -129,11 +131,8 @@ class _QuantumMachine(CallbackMachine):
             self.reduce_unit.request().add_callback(self._granted)
         elif stage == 2:
             # CU hold elapsed: release the unit, go on the wire.
-            coll = self.coll
             self.reduce_unit.release()
-            dst_gpu_id = coll.topo.gpus[self.dst_rank].gpu_id
-            coll.topo.gpus[self.rank].link_to(dst_gpu_id) \
-                .transfer(self.nbytes).add_callback(self._arrived)
+            self.link.transfer(self.nbytes).add_callback(self._arrived)
         elif stage == 3:
             # Writes landed (the slot the writes-AllOf used to fire in).
             self._stage = 4
@@ -151,12 +150,11 @@ class _QuantumMachine(CallbackMachine):
         self._arm(self._hold)
 
     def _arrived(self, _event: BaseEvent) -> None:
-        # Arriving writes are tagged with the chunk they deliver, so a T3
-        # Tracker at the receiver can gate consumers on chunk arrival
-        # (Section 7.2).
-        coll = self.coll
-        writes = coll.topo.gpus[self.dst_rank].mc.submit_bulk(
-            AccessKind.WRITE, Stream.COMM, self.nbytes, coll.label,
+        # Arriving writes are tagged with the chunk they deliver (in the
+        # receiver's labels), so a T3 Tracker at the receiver can gate
+        # consumers on chunk arrival (Section 7.2).
+        writes = self.dst_mc.submit_bulk(
+            AccessKind.WRITE, Stream.COMM, self.nbytes, self.coll.label,
             wg_id=self.chunk_id, chunk_id=self.chunk_id)
         self._pending = len(writes)
         cb = self._write_done
@@ -172,7 +170,7 @@ class _QuantumMachine(CallbackMachine):
 
 class _PlanExecutor:
     """Runs one reduce-scatter or all-gather :class:`CollectivePlan` on
-    every rank of a topology with the CU-driven cost model."""
+    every simulated rank of a topology with the CU-driven cost model."""
 
     def __init__(self, topology: Topology, nbytes_total: int,
                  plan: CollectivePlan, n_cus: Optional[int] = None):
@@ -184,7 +182,7 @@ class _PlanExecutor:
             raise ValueError(
                 f"the baseline executor runs reduce-scatter and all-gather "
                 f"plans, not {plan.op.value}")
-        for rank in range(plan.n_ranks):
+        for rank in range(topology.n_simulated):
             for step in plan.steps(rank):
                 if step.send_chunks and \
                         (rank, step.dst) not in topology.links:
@@ -203,7 +201,7 @@ class _PlanExecutor:
         #: arrival[(rank, stage, step, chunk)] fires when that chunk has
         #: fully landed in ``rank``'s DRAM.
         self._arrivals: Dict[Tuple[int, str, int, int], BaseEvent] = {}
-        for rank in range(plan.n_ranks):
+        for rank in range(topology.n_simulated):
             for step in plan.steps(rank):
                 for cid in step.recv_chunks:
                     self._arrivals[(rank, step.stage, step.step, cid)] = \
@@ -221,18 +219,26 @@ class _PlanExecutor:
     def _send(self, rank: int, step: PlanStep, read_factor: int,
               reduce_unit: Resource, cu_bw: float):
         """Pipeline one step's chunks to ``step.dst``; returns once they
-        have fully landed there, then fires the receiver's arrivals."""
+        have fully landed there, then fires the receiver's arrivals.
+
+        The receiver is the simulated GPU that plays ``step.dst``; each
+        chunk lands there under that GPU's id for it (its ``tag``)."""
         group = CompletionGroup(self.env)
-        for cid in step.send_chunks:
+        dst, shift = self.topo.resolve(step.dst)
+        link = self.topo.gpus[rank].link_to(step.dst)
+        dst_mc = self.topo.gpus[dst].mc
+        tags = [(cid + shift) % self.plan.n_chunks
+                for cid in step.send_chunks]
+        for cid, tag in zip(step.send_chunks, tags):
             for q in self._quanta(self.chunks[cid]):
                 group.expect()
                 _QuantumMachine(
-                    self, rank, step.dst, q, read_factor * q,
-                    (read_factor + 1) * q, reduce_unit, cu_bw, cid,
+                    self, rank, link, dst_mc, q, read_factor * q,
+                    (read_factor + 1) * q, reduce_unit, cu_bw, tag,
                     group).start()
         yield group
-        for cid in step.send_chunks:
-            self._arrivals[(step.dst, step.stage, step.step, cid)].succeed()
+        for tag in tags:
+            self._arrivals[(dst, step.stage, step.step, tag)].succeed()
 
     def _rank_proc(self, rank: int):
         env = self.env
@@ -285,7 +291,7 @@ class _PlanExecutor:
         return [
             self.env.process(self._rank_proc(rank),
                              name=f"{self.label}.rank{rank}")
-            for rank in range(self.topo.n_gpus)
+            for rank in range(self.topo.n_simulated)
         ]
 
     def run(self) -> CollectiveResult:

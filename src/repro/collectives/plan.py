@@ -312,6 +312,38 @@ def ring_production_order(n_chunks: int, rank: int,
     return order
 
 
+def rotation_period(plan: CollectivePlan, n_wgs: int, tiles_n: int,
+                    payload_bytes: int) -> int:
+    """Rank period of a fused flat ring-RS over an ``n_wgs``-tile GEMM
+    output that is ``tiles_n`` tiles wide.
+
+    A staggered ring plan is a rotation: rank ``r`` runs rank 0's steps,
+    routes and production order with every chunk id shifted by ``r``.
+    When the output cuts into ``n_ranks`` chunks of ``w`` whole WG tiles
+    and equal byte counts, a shift by ``p`` chunks moves the WG
+    enumeration by ``p * w`` tiles.  If that is a whole number of tile
+    rows, every stage of rank ``r + p`` touches as many new rows and
+    columns as the same stage of rank ``r``, so the two ranks run the
+    same simulation with chunk ids ``p`` apart.  Returns the smallest
+    such ``p`` that divides ``n_ranks``, or ``n_ranks`` when the case is
+    not rank-symmetric (unequal chunks, graceful fewer-chunk plans,
+    unstaggered or non-ring plans).
+    """
+    n = plan.n_ranks
+    if plan.collective != "ring-rs" or plan.n_chunks != n \
+            or payload_bytes % n:
+        return n
+    if [(cid + 1) % n for cid in plan.production_order(0)] \
+            != plan.production_order(1):
+        return n
+    widths = set(split_evenly(n_wgs, n))
+    if len(widths) != 1:
+        return n
+    (wgs_per_chunk,) = widths
+    return next(p for p in range(1, n + 1)
+                if n % p == 0 and p * wgs_per_chunk % tiles_n == 0)
+
+
 def _clamped_chunks(n_ranks: int, n_chunks: Optional[int],
                     max_chunks: Optional[int]) -> int:
     """Graceful chunk count: at most one chunk per rank, clamped to what

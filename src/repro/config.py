@@ -50,20 +50,24 @@ class _SerializableConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-#: (rule, test) for the count, positive and non-negative field groups.
+#: (rule, test) for the count, positive, non-negative and fraction field
+#: groups.  Every test is false for NaN.
 _FIELD_RULES = ((">= 1", lambda v: v >= 1),
                 ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
-                ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0))
+                ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+                ("in [0, 1]", lambda v: 0 <= v <= 1))
 
 
 def _check_fields(config, counts: Tuple[str, ...] = (),
                   positive: Tuple[str, ...] = (),
-                  non_negative: Tuple[str, ...] = ()) -> None:
+                  non_negative: Tuple[str, ...] = (),
+                  fractions: Tuple[str, ...] = ()) -> None:
     """Reject values a run would only trip over later: counts below 1,
-    and rates, bandwidths, factors (> 0), latencies and limits (>= 0)
-    that are not finite.  Raises ``ValueError`` naming the field."""
-    for attrs, (rule, holds) in zip((counts, positive, non_negative),
-                                    _FIELD_RULES):
+    rates, bandwidths, factors (> 0), latencies and limits (>= 0) that
+    are not finite, and fractions outside [0, 1].  Raises ``ValueError``
+    naming the field."""
+    for attrs, (rule, holds) in zip((counts, positive, non_negative,
+                                     fractions), _FIELD_RULES):
         for attr in attrs:
             value = getattr(config, attr)
             if not holds(value):
@@ -138,10 +142,14 @@ class MemoryConfig(_SerializableConfig):
     llc_reuse_window_stages: int = 8
 
     def __post_init__(self) -> None:
+        # A reuse window of 0 stages means no re-reads at all.
         _check_fields(self, counts=("llc_banks", "n_channels",
                                     "dram_queue_depth"),
                       positive=("hbm_bandwidth", "dram_efficiency",
-                                "nmc_ccdwl_factor"))
+                                "nmc_ccdwl_factor", "llc_hit_exponent"),
+                      non_negative=("llc_bytes", "llc_reuse_window_stages"),
+                      fractions=("llc_input_fraction_cached_writes",
+                                 "llc_input_fraction_bypassed_writes"))
 
     @property
     def effective_bandwidth(self) -> float:
@@ -333,19 +341,21 @@ class OverlapPolicyConfig(_SerializableConfig):
                              "to replay")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.retune_interval_ns <= 0:
+        if not self.retune_interval_ns > 0:
             raise ValueError("retune_interval_ns must be positive")
         if not 0.0 <= self.tighten_watermark < self.relax_watermark <= 1.0:
             raise ValueError(
                 "watermarks must satisfy 0 <= tighten < relax <= 1; got "
                 f"tighten={self.tighten_watermark}, "
                 f"relax={self.relax_watermark}")
-        if self.pacing_max_gap_ns < 0:
-            raise ValueError("pacing_max_gap_ns cannot be negative")
+        if not (math.isfinite(self.pacing_max_gap_ns)
+                and self.pacing_max_gap_ns >= 0):
+            raise ValueError("pacing_max_gap_ns must be finite and >= 0")
         if not 0.0 <= self.pacing_occupancy_watermark < 1.0:
             raise ValueError("pacing_occupancy_watermark must be in [0, 1)")
-        if self.eagerness_max_delay_ns < 0:
-            raise ValueError("eagerness_max_delay_ns cannot be negative")
+        if not (math.isfinite(self.eagerness_max_delay_ns)
+                and self.eagerness_max_delay_ns >= 0):
+            raise ValueError("eagerness_max_delay_ns must be finite and >= 0")
 
 
 @dataclass(frozen=True)

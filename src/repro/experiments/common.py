@@ -24,11 +24,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.traffic import DramBreakdown, collect_breakdown
 from repro.collectives.baseline import RingAllGather, RingReduceScatter
 from repro.collectives.api import rs_with_nmc_time
+from repro.collectives.plan import ring_reduce_scatter_plan, rotation_period
 from repro.config import SystemConfig
 from repro.faults import FaultInjector, FaultPlan, InvariantChecker
 from repro.gpu.gemm import GEMMKernel
 from repro.gpu.wavefront import GEMMShape, TileGrid
-from repro.interconnect.topology import RingTopology
+from repro.interconnect.topology import PeriodicRingTopology, RingTopology
 from repro.memory.cache import estimate_gemm_traffic
 from repro.models.transformer import SubLayer
 from repro.models import zoo
@@ -135,6 +136,19 @@ def _attach_resilience(env: Environment, resilience) -> None:
     ResilienceRuntime(policy).attach(env)
 
 
+def _ring_period(system: SystemConfig,
+                 shape: GEMMShape) -> Optional[Tuple[int, int]]:
+    """``(period, WGs per chunk)`` of the suite's ring on ``shape`` when
+    fewer ranks than the ring's reproduce it
+    (:func:`~repro.collectives.plan.rotation_period`), else None."""
+    n = system.n_gpus
+    grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
+    period = rotation_period(
+        ring_reduce_scatter_plan(n, max_chunks=grid.n_wgs), grid.n_wgs,
+        grid.tiles_n, shape.output_bytes)
+    return (period, grid.n_wgs // n) if period < n else None
+
+
 def _fresh_topology(system: SystemConfig, policy: str,
                     record_traffic: bool = False,
                     faults: Optional[FaultPlan] = None,
@@ -142,7 +156,10 @@ def _fresh_topology(system: SystemConfig, policy: str,
                     obs=None,
                     resilience=None,
                     trace=None,
+                    ring: Optional[Tuple[int, int]] = None,
                     ) -> Tuple[Environment, RingTopology]:
+    """A fresh environment and ring with the given attachments; ``ring``
+    (from :func:`_ring_period`) simulates one rotation period of it."""
     env = Environment()
     if obs is not None:
         env.obs = obs
@@ -158,6 +175,9 @@ def _fresh_topology(system: SystemConfig, policy: str,
     _attach_resilience(env, resilience)
     if record_traffic:
         system = system.with_fidelity(record_traffic=True)
+    if ring is not None:
+        return env, PeriodicRingTopology(env, system, *ring,
+                                         policy_name=policy)
     return env, RingTopology(env, system, policy_name=policy)
 
 
@@ -165,11 +185,11 @@ def _run_sequential(system: SystemConfig, shape: GEMMShape,
                     record_traffic: bool = False,
                     faults: Optional[FaultPlan] = None,
                     check_invariants: bool = False,
-                    obs=None, resilience=None, trace=None):
+                    obs=None, resilience=None, trace=None, ring=None):
     """GEMM on all GPUs, then ring-RS, then ring-AG; returns parts."""
     env, topo = _fresh_topology(system, "compute-priority", record_traffic,
                                 faults, check_invariants, obs, resilience,
-                                trace)
+                                trace, ring)
     kernels = []
     for gpu in topo.gpus:
         grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
@@ -196,10 +216,10 @@ def _run_fused(system: SystemConfig, shape: GEMMShape, config: RunConfig,
                record_traffic: bool = False,
                faults: Optional[FaultPlan] = None,
                check_invariants: bool = False,
-               obs=None, resilience=None, trace=None):
+               obs=None, resilience=None, trace=None, ring=None):
     env, topo = _fresh_topology(system, config.mc_policy, record_traffic,
                                 faults, check_invariants, obs, resilience,
-                                trace)
+                                trace, ring)
     fused = FusedGEMMRS(topo, shape,
                         calibrate_mca=(config.mc_policy == "mca"))
     fused_result = fused.run()
@@ -274,12 +294,22 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
 
     suite = SublayerSuite(label=label or shape.name, shape=shape,
                           system=system)
+    # With nothing attached, a rank-symmetric case simulates one rotation
+    # period of the ring: the other ranks would repeat those with chunk
+    # ids shifted, so every time and per-GPU average is unchanged.
+    # Attachments record per-GPU state, so they keep the full ring.
+    plain = (faults is None and not check_invariants and obs_sink is None
+             and trace_sink is None and not resilience
+             and not record_traffic and system.policy.kind == "static"
+             and not system.policy.record_decisions)
+    ring = _ring_period(system, shape) if plain else None
 
     topo, gemm_t, rs_t, ag_t = _run_sequential(system, shape, record_traffic,
                                                faults, check_invariants,
                                                obs=_registry("Sequential"),
                                                resilience=resilience,
-                                               trace=_trace("Sequential"))
+                                               trace=_trace("Sequential"),
+                                               ring=ring)
     suite.gemm_time, suite.rs_time, suite.ag_time = gemm_t, rs_t, ag_t
     suite.times["Sequential"] = gemm_t + rs_t + ag_t
     suite.traffic["Sequential"] = collect_breakdown(topo.gpus)
@@ -290,7 +320,7 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
         topo_f, _fused, total = _run_fused(
             system, shape, config_by_name(name), record_traffic,
             faults, check_invariants, obs=_registry(name),
-            resilience=resilience, trace=_trace(name))
+            resilience=resilience, trace=_trace(name), ring=ring)
         suite.times[name] = total
         suite.traffic[name] = collect_breakdown(topo_f.gpus)
 

@@ -17,7 +17,12 @@ from repro.sim.primitives import Pipe
 
 
 class Topology:
-    """Base: a set of GPUs plus directed links."""
+    """Base: a set of GPUs plus directed links.
+
+    ``n_gpus`` is the rank count plans are built for; ``gpus`` holds the
+    simulated GPUs, which is every rank except on a
+    :class:`PeriodicRingTopology`.
+    """
 
     def __init__(self, env: Environment, system: SystemConfig,
                  policy_name: str = "compute-priority"):
@@ -25,14 +30,27 @@ class Topology:
         self.system = system
         self.gpus: List[GPU] = [
             GPU(env, gpu_id, system, policy_name=policy_name)
-            for gpu_id in range(system.n_gpus)
+            for gpu_id in range(self.n_simulated)
         ]
         self.links: Dict[Tuple[int, int], Pipe] = {}
         self._wire()
 
+    @property
+    def n_simulated(self) -> int:
+        return self.system.n_gpus
+
     # subclasses define which directed edges exist
     def edges(self) -> List[Tuple[int, int]]:
         raise NotImplementedError
+
+    def resolve(self, rank: int) -> Tuple[int, int]:
+        """The simulated GPU that plays ring rank ``rank``, and the shift
+        that carries ``rank``'s chunk ids into that GPU's."""
+        return rank, 0
+
+    def peer(self, rank: int):
+        """What a link into ring rank ``rank`` delivers to."""
+        return self.gpus[rank]
 
     def _make_pipe(self, src: int, dst: int, bandwidth: float,
                    latency_ns: float, suffix: str = "") -> Pipe:
@@ -49,7 +67,7 @@ class Topology:
         pipe.nominal_bandwidth = nominal_bandwidth
         pipe.nominal_latency_ns = nominal_latency
         self.links[(src, dst)] = pipe
-        self.gpus[src].connect(self.gpus[dst], pipe)
+        self.gpus[src].connect(self.peer(dst), pipe)
         return pipe
 
     def _wire(self) -> None:
@@ -65,7 +83,7 @@ class Topology:
 
     @property
     def n_gpus(self) -> int:
-        return len(self.gpus)
+        return self.system.n_gpus
 
     def total_bytes_on_wire(self) -> float:
         return sum(pipe.bytes_sent for pipe in self.links.values())
@@ -89,6 +107,88 @@ class RingTopology(Topology):
     def prev_gpu(self, rank: int) -> int:
         """Upstream neighbour (the one ``rank`` receives chunks from)."""
         return (rank + 1) % self.system.n_gpus
+
+
+class _RotatedController:
+    """A memory controller written through a ring's closing link: chunk
+    and WG ids are rotated into the receiving GPU's labels."""
+
+    __slots__ = ("mc", "shift", "n_chunks", "wg_shift", "n_wgs")
+
+    def __init__(self, mc, shift: int, n_chunks: int, wgs_per_chunk: int):
+        self.mc = mc
+        self.shift = shift
+        self.n_chunks = n_chunks
+        self.wg_shift = shift * wgs_per_chunk
+        self.n_wgs = n_chunks * wgs_per_chunk
+
+    def submit_bulk(self, kind, stream, nbytes, label, wg_id=None,
+                    wf_id=None, chunk_id=None):
+        if wg_id is not None:
+            wg_id = (wg_id + self.wg_shift) % self.n_wgs
+        if chunk_id is not None:
+            chunk_id = (chunk_id + self.shift) % self.n_chunks
+        return self.mc.submit_bulk(kind, stream, nbytes, label, wg_id,
+                                   wf_id, chunk_id)
+
+
+class _RotatedPeer:
+    """A virtual ring rank as its upstream neighbour sees it: an id to
+    link to and a memory controller to store into."""
+
+    __slots__ = ("gpu_id", "mc")
+
+    def __init__(self, gpu_id: int, mc: _RotatedController):
+        self.gpu_id = gpu_id
+        self.mc = mc
+
+
+class PeriodicRingTopology(RingTopology):
+    """An ``N``-rank ring of which only ranks ``0..period-1`` are simulated.
+
+    In a rank-symmetric case
+    (:func:`~repro.collectives.plan.rotation_period`), rank ``r + period``
+    runs rank ``r``'s simulation with every chunk id ``period`` ahead, so
+    ranks ``period..N-1`` are copies.  Ranks ``1..period-1`` send
+    downstream as on the full ring.  Rank 0's downstream link, to virtual
+    rank ``N-1``, delivers into rank ``period-1`` with chunk ``c``
+    relabelled ``c + period`` and WG ``w`` relabelled
+    ``w + period * wgs_per_chunk``: exactly what rank ``period-1``
+    receives from virtual rank ``period``.  Plans are built for all
+    ``n_gpus`` ranks; the fused GEMM-RS and the collective executors
+    program and launch only the simulated ``gpus``.  Only the downstream
+    ring is wired.
+    """
+
+    def __init__(self, env: Environment, system: SystemConfig, period: int,
+                 wgs_per_chunk: int, policy_name: str = "compute-priority"):
+        if period < 1 or system.n_gpus % period:
+            raise SimulationError(
+                f"period {period} does not divide the {system.n_gpus}-rank "
+                "ring")
+        self.period = period
+        self.wgs_per_chunk = wgs_per_chunk
+        super().__init__(env, system, policy_name=policy_name)
+
+    @property
+    def n_simulated(self) -> int:
+        return self.period
+
+    def edges(self) -> List[Tuple[int, int]]:
+        n = self.system.n_gpus
+        return [(rank, (rank - 1) % n) for rank in range(self.period)]
+
+    def resolve(self, rank: int) -> Tuple[int, int]:
+        simulated = rank % self.period
+        return simulated, (simulated - rank) % self.system.n_gpus
+
+    def peer(self, rank: int):
+        simulated, shift = self.resolve(rank)
+        if not shift:
+            return self.gpus[simulated]
+        return _RotatedPeer(rank, _RotatedController(
+            self.gpus[simulated].mc, shift, self.system.n_gpus,
+            self.wgs_per_chunk))
 
 
 class FullyConnectedTopology(Topology):

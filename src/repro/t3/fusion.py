@@ -125,7 +125,9 @@ class FusedGEMMRS:
     production order shapes each rank's :class:`TileGrid`.  On a
     :class:`~repro.interconnect.topology.HierarchicalRingTopology` the
     plan is the two-phase intra-node/inter-node ring, so the same fusion
-    runs multi-node.
+    runs multi-node.  On a
+    :class:`~repro.interconnect.topology.PeriodicRingTopology` it
+    programs and launches only the simulated ranks.
     """
 
     def __init__(self, topology: Topology, shape: GEMMShape,
@@ -181,15 +183,16 @@ class FusedGEMMRS:
             raise ValueError(
                 f"plan covers {plan.n_ranks} ranks but the topology has {n}")
         self.plan = plan
+        ranks = range(topology.n_simulated)
         self.grids: List[TileGrid] = [
             TileGrid(shape, self.system.gemm, n_cus=self.n_cus,
                      n_chunks=plan.n_chunks, chunk_offset=rank,
                      stagger=self.stagger,
                      production_order=plan.production_order(rank))
-            for rank in range(n)
+            for rank in ranks
         ]
         self.address_configs = [
-            AddressSpaceConfig.from_plan(plan, rank) for rank in range(n)
+            AddressSpaceConfig.from_plan(plan, rank) for rank in ranks
         ]
         self.trackers: List[Tracker] = []
         self.controllers: List[TriggerController] = []
@@ -198,7 +201,7 @@ class FusedGEMMRS:
         self.kernels: List[GEMMKernel] = []
         self.ledgers: List[Optional[ReductionBuffer]] = []
         self.result = FusedResult()
-        for rank in range(n):
+        for rank in ranks:
             self._setup_rank(rank)
 
     # -- per-rank configuration ("driver" work, Figure 12) -----------------------

@@ -29,16 +29,19 @@ from repro.collectives.plan import (
     ring_all_gather_plan,
     ring_production_order,
     ring_reduce_scatter_plan,
+    rotation_period,
 )
 from repro.config import table1_system
 from repro.experiments import scaleout
+from repro.experiments.sublayer_sweep import FAST_SCALE, case_shape
 from repro.faults import InvariantChecker
-from repro.gpu.wavefront import GEMMShape
+from repro.gpu.wavefront import GEMMShape, TileGrid
 from repro.interconnect.topology import (
     FullyConnectedTopology,
     HierarchicalRingTopology,
     RingTopology,
 )
+from repro.models import zoo
 from repro.sim import Environment
 from repro.t3.fusion import FusedGEMMRS
 
@@ -94,6 +97,41 @@ def test_plan_clamps_chunks_for_small_payloads():
     terminal = {r: plan.rank_plan(r).terminal_chunks() for r in range(8)}
     assert terminal[0] == [0] and terminal[2] == [2]
     assert terminal[5] == []
+
+
+def _period(n_gpus, shape, **plan_kwargs):
+    system = table1_system(n_gpus=n_gpus)
+    grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
+    plan = ring_reduce_scatter_plan(n_gpus, max_chunks=grid.n_wgs,
+                                    **plan_kwargs)
+    return rotation_period(plan, grid.n_wgs, grid.tiles_n,
+                           shape.output_bytes)
+
+
+@pytest.mark.parametrize("model, tp, period", [
+    (zoo.t_nlg, 8, 1),    # 34-WG chunks, each one whole 34-WG tile row
+    (zoo.t_nlg, 16, 2),   # 17-WG chunks: half a row, so two ranks a row
+    (zoo.palm, 32, 16),   # 9-WG chunks in 144-WG rows
+])
+def test_rotation_period_of_fast_paper_cases(model, tp, period):
+    sub = model().sublayer("OP", tp)
+    shape = case_shape(sub, FAST_SCALE, table1_system(n_gpus=tp))
+    assert _period(tp, shape) == period
+
+
+def test_rotation_period_falls_back_to_the_full_ring():
+    # 3 x 2 tiles cut 4 ways: chunks of 2, 2, 1 and 1 WGs.
+    assert _period(4, GEMMShape(m=384, n=256, k=64)) == 4
+    # 2 x 2 tiles in 2 one-row chunks, but 255 x 129 one-byte elements
+    # do not split into 2 equal byte counts; one more row of M does.
+    assert _period(2, GEMMShape(m=255, n=129, k=64, element_bytes=1)) == 2
+    assert _period(2, GEMMShape(m=256, n=129, k=64, element_bytes=1)) == 1
+    # Unstaggered plans are not rotations; nor are fewer-chunk plans.
+    shape = GEMMShape(m=1024, n=256, k=64)
+    assert _period(4, shape) == 1
+    assert _period(4, shape, stagger=False) == 4
+    assert rotation_period(ring_reduce_scatter_plan(8, max_chunks=4),
+                           16, 2, 1 << 20) == 8
 
 
 def test_fused_gemm_rs_small_shape_falls_back_to_fewer_chunks():

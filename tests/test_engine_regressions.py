@@ -26,6 +26,7 @@ resilience runtime, an explicit static policy, and all of them) and
 requires the same fingerprints: attaching any of them changes nothing.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -454,6 +455,38 @@ def test_t_nlg_op_tp4_matches_recorded_fingerprints():
     assert env.events_fired == T_NLG_OP_TP4_EVENTS
     assert env.now == result.duration == T_NLG_OP_TP4_END_NS
     assert _sha(registry.snapshot()) == T_NLG_OP_TP4_SNAPSHOT_SHA
+
+
+#: plain ``run_sublayer_suite`` payload sha256s on 4-CU systems, recorded
+#: with every rank simulated: name -> (ranks, (m, n, k), rotation
+#: period, sha).  Half-row chunks repeat every 2 ranks of 4, quarter-row
+#: chunks every 4 of 8, and unequal chunks keep the full ring.
+_PERIODIC_SUITE_SHAS = {
+    "half-row": (4, (768, 768, 2048), 2,
+                 "dedd2bd83a2e4130321273d1efeff5144d0f2ff229d21f8fcd1591584f348f99"),
+    "quarter-row": (8, (768, 512, 2048), 4,
+                    "fc297364cc4694c29501529402dffa9b991a02d9da29c543d95f658fc9944bb3"),
+    "uneven": (4, (768, 640, 2048), 4,
+               "1c560486defc8fee1aced21fe4533f453b0cbdaa7d19cbac5e880df0e36be2a5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PERIODIC_SUITE_SHAS))
+def test_one_rotation_period_reproduces_the_full_ring(name):
+    """A plain suite simulates one rotation period of its ring, and its
+    payload stays the one recorded with every rank simulated."""
+    from repro.config import table1_system
+    from repro.experiments.common import _ring_period, run_sublayer_suite
+    from repro.gpu.wavefront import GEMMShape
+
+    n_gpus, (m, n, k), period, digest = _PERIODIC_SUITE_SHAS[name]
+    system = table1_system(n_gpus=n_gpus)
+    system = system.replace(
+        compute=dataclasses.replace(system.compute, n_cus=4))
+    shape = GEMMShape(m=m, n=n, k=k, name=name)
+    ring = _ring_period(system, shape)
+    assert (ring[0] if ring else n_gpus) == period
+    assert _sha(run_sublayer_suite(system, shape).to_dict()) == digest
 
 
 #: what each row of the transparency table attaches; ``all`` attaches

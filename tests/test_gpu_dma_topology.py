@@ -4,7 +4,11 @@ import pytest
 
 from repro.config import table1_system
 from repro.gpu.dma import DMACommand
-from repro.interconnect.topology import FullyConnectedTopology, RingTopology
+from repro.interconnect.topology import (
+    FullyConnectedTopology,
+    PeriodicRingTopology,
+    RingTopology,
+)
 from repro.memory.request import AccessKind
 from repro.sim import Environment, SimulationError
 
@@ -60,6 +64,33 @@ def test_gpu_self_link_rejected():
     env, topo = make_ring(4)
     with pytest.raises(SimulationError):
         topo.gpus[0].connect(topo.gpus[0], topo.link(0, 1))
+
+
+def test_periodic_ring_closes_on_its_last_simulated_rank():
+    """Ranks 0-1 of an 8-rank ring: rank 0's downstream link, to virtual
+    rank 7, delivers into rank 1 with ids rotated two chunks ahead."""
+    env = Environment()
+    system = table1_system(n_gpus=8).with_fidelity(quantum_bytes=8 * 1024)
+    topo = PeriodicRingTopology(env, system, period=2, wgs_per_chunk=3)
+    assert topo.n_gpus == 8 and len(topo.gpus) == 2
+    assert sorted(topo.links) == [(0, 7), (1, 0)]
+    assert topo.resolve(7) == (1, 2) and topo.resolve(1) == (1, 0)
+    seen = []
+    topo.gpus[1].mc.add_tracker_observer(
+        lambda r: seen.append((r.wg_id, r.chunk_id)))
+    topo.gpus[0].dma.program(command(dst=7, chunk=7,
+                                     slices=((22, 16 * 1024),)))
+    topo.gpus[0].dma.trigger("c0")
+    env.run()
+    # chunk 7 + 2 wraps to 1; WG 22 + 2 * 3 wraps to 4 of 24.
+    assert seen and set(seen) == {(4, 1)}
+    # One rank closes the ring on itself through virtual rank 3.
+    solo = PeriodicRingTopology(Environment(), table1_system(n_gpus=4),
+                                period=1, wgs_per_chunk=1)
+    assert solo.gpus[0].peer(3).gpu_id == 3
+    with pytest.raises(SimulationError, match="does not divide"):
+        PeriodicRingTopology(Environment(), system, period=3,
+                             wgs_per_chunk=1)
 
 
 # ----------------------------------------------------------------------- DMA

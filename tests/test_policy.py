@@ -211,6 +211,15 @@ def test_overlap_policy_config_validation():
         OverlapPolicyConfig(pacing_occupancy_watermark=1.0)
     with pytest.raises(ValueError, match="eagerness_max_delay_ns"):
         OverlapPolicyConfig(eagerness_max_delay_ns=-5.0)
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="retune_interval_ns"):
+        OverlapPolicyConfig(retune_interval_ns=nan)
+    # An infinite gap or delay would reach the engine as an event delay.
+    for value in (nan, inf):
+        with pytest.raises(ValueError, match="pacing_max_gap_ns"):
+            OverlapPolicyConfig(pacing_max_gap_ns=value)
+        with pytest.raises(ValueError, match="eagerness_max_delay_ns"):
+            OverlapPolicyConfig(eagerness_max_delay_ns=value)
 
 
 def test_default_policy_kind_hook_round_trips():

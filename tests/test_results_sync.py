@@ -3,10 +3,11 @@
 ``results/*.txt`` are committed artifacts of ``scripts/capture_results``;
 when a simulator change shifts the numbers, the files must be
 regenerated.  Re-rendering every figure is minutes of simulation, so this
-test compares only the *cheap* (closed-form / sub-second) experiments
-live against their checked-in bodies — any drift in shared config or
-rendering code trips it immediately, and the expensive figures are
-validated by the same mechanism whenever ``make results`` is run.
+test compares only the *cheap* experiments (closed forms, and the
+16-case sweep behind Figures 15, 16 and 18) live against their
+checked-in bodies — any drift in shared config, simulation or rendering
+code trips it immediately, and the expensive figures are validated by
+the same mechanism whenever ``make results`` is run.
 """
 
 import pathlib
@@ -18,8 +19,10 @@ from repro.experiments.runner import EXPERIMENTS
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
 
-#: experiments cheap enough to re-render on every test run.
-CHEAP = ("table1", "table2", "table3", "figure4")
+#: experiments cheap enough to re-render on every test run.  The three
+#: figures share one 16-case sweep, simulated once per test run.
+CHEAP = ("table1", "table2", "table3", "figure4", "figure15", "figure16",
+         "figure18")
 
 
 def body(text: str) -> str:

@@ -107,6 +107,11 @@ _BAD_CONFIG_VALUES = [
     ("tracker", "n_entries", 0),
     ("memory", "n_channels", 0),
     ("memory", "nmc_ccdwl_factor", float("nan")),
+    ("memory", "llc_bytes", -1),
+    ("memory", "llc_hit_exponent", float("nan")),
+    ("memory", "llc_input_fraction_cached_writes", -0.5),
+    ("memory", "llc_input_fraction_bypassed_writes", float("nan")),
+    ("memory", "llc_reuse_window_stages", -1),
     ("link", "bandwidth", 0),
     ("link", "latency_ns", float("nan")),
     ("mca", "starvation_limit_ns", float("nan")),

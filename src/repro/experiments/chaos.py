@@ -44,13 +44,12 @@ from repro.faults import (
     LinkDegradation,
     TrackerPressure,
 )
-from repro.gpu.gemm import GEMMKernel
-from repro.gpu.wavefront import GEMMShape, TileGrid
+from repro.gpu.gemm import run_plain_gemms
+from repro.gpu.wavefront import GEMMShape
 from repro.interconnect.topology import (
     HierarchicalRingTopology,
     RingTopology,
 )
-from repro.memory.cache import estimate_gemm_traffic
 from repro.resilience import (
     LadderRung,
     RepairResult,
@@ -299,19 +298,7 @@ def _plan_driven_time(scenario: ChaosScenario,
     env, topo, _ = _build_env(scenario.topology, system,
                               "compute-priority", scenario.plan,
                               resilience=None)
-    kernels = []
-    for gpu in topo.gpus:
-        grid = TileGrid(CHAOS_SHAPE, system.gemm,
-                        n_cus=system.compute.n_cus)
-        traffic = estimate_gemm_traffic(grid, system.memory,
-                                        bypass_writes=False)
-        kernels.append(GEMMKernel(grid, traffic))
-    procs = [gpu.launch(k) for gpu, k in zip(topo.gpus, kernels)]
-    env.run()
-    if any(not p.fired for p in procs):
-        raise SimulationError("chaos fallback GEMM never finished\n"
-                              + env.diagnostic_dump())
-    gemm_time = max(k.result.duration for k in kernels)
+    gemm_time = run_plain_gemms(topo, CHAOS_SHAPE)
     rs = PlannedReduceScatter(topo, CHAOS_SHAPE.output_bytes)
     rs_time = rs.run().duration
     if env.invariants is not None:

@@ -27,10 +27,9 @@ from repro.collectives.api import rs_with_nmc_time
 from repro.collectives.plan import ring_reduce_scatter_plan, rotation_period
 from repro.config import SystemConfig
 from repro.faults import FaultInjector, FaultPlan, InvariantChecker
-from repro.gpu.gemm import GEMMKernel
+from repro.gpu.gemm import run_plain_gemms
 from repro.gpu.wavefront import GEMMShape, TileGrid
 from repro.interconnect.topology import PeriodicRingTopology, RingTopology
-from repro.memory.cache import estimate_gemm_traffic
 from repro.models.transformer import SubLayer
 from repro.models import zoo
 from repro.sim import Environment
@@ -190,19 +189,7 @@ def _run_sequential(system: SystemConfig, shape: GEMMShape,
     env, topo = _fresh_topology(system, "compute-priority", record_traffic,
                                 faults, check_invariants, obs, resilience,
                                 trace, ring)
-    kernels = []
-    for gpu in topo.gpus:
-        grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
-        traffic = estimate_gemm_traffic(grid, system.memory,
-                                        bypass_writes=False)
-        kernels.append(GEMMKernel(grid, traffic))
-    procs = [gpu.launch(k) for gpu, k in zip(topo.gpus, kernels)]
-    env.run()
-    if any(not p.fired for p in procs):
-        raise RuntimeError("sequential GEMM never finished\n"
-                           + env.diagnostic_dump())
-    gemm_time = max(k.result.duration for k in kernels)
-
+    gemm_time = run_plain_gemms(topo, shape)
     rs = RingReduceScatter(topo, nbytes_total=shape.output_bytes)
     rs_time = rs.run().duration
     ag = RingAllGather(topo, nbytes_total=shape.output_bytes)

@@ -23,10 +23,9 @@ from typing import List
 from repro.collectives.baseline import RingReduceScatter
 from repro.config import SystemConfig, table1_system
 from repro.experiments.common import scaled_shape
-from repro.gpu.gemm import GEMMKernel
-from repro.gpu.wavefront import GEMMShape, TileGrid
+from repro.gpu.gemm import run_plain_gemms
+from repro.gpu.wavefront import GEMMShape
 from repro.interconnect.topology import RingTopology
-from repro.memory.cache import estimate_gemm_traffic
 from repro.models import zoo
 from repro.sim import Environment
 from repro.t3.standalone import NMCReduceScatter
@@ -63,39 +62,21 @@ class DPOverlapResult:
         raise KeyError(strategy)
 
 
-def _gemm_kernels(system: SystemConfig, topo: RingTopology,
-                  shape: GEMMShape, n_cus: int) -> List[GEMMKernel]:
-    kernels = []
-    for _gpu in topo.gpus:
-        grid = TileGrid(shape, system.gemm, n_cus=n_cus)
-        traffic = estimate_gemm_traffic(grid, system.memory,
-                                        bypass_writes=False)
-        kernels.append(GEMMKernel(grid, traffic, n_cus=n_cus))
-    return kernels
-
-
 def _run_concurrent(system: SystemConfig, shape: GEMMShape, rs_bytes: int,
                     policy: str, gemm_cus: int, rs_mode: str):
+    """GEMM on ``gemm_cus`` CUs of every GPU, with the gradient RS run
+    alongside; returns (makespan, GEMM time, RS finish)."""
     env = Environment()
     topo = RingTopology(env, system, policy_name=policy)
-    kernels = _gemm_kernels(system, topo, shape, gemm_cus)
-    gemm_procs = [gpu.launch(k) for gpu, k in zip(topo.gpus, kernels)]
     if rs_mode == "cu":
         rs = RingReduceScatter(topo, nbytes_total=rs_bytes,
                                n_cus=system.compute.n_cus - gemm_cus)
-        rs_procs = rs.launch()
-        env.run()
-        rs_end = max(rs.result.per_rank_end.values())
     else:
         rs = NMCReduceScatter(topo, nbytes_total=rs_bytes)
-        rs.launch()
-        env.run()
-        rs_end = max(rs.result.per_rank_terminal.values())
-    if any(not p.fired for p in gemm_procs):
-        raise RuntimeError("concurrent GEMM never finished")
-    gemm_time = max(k.result.duration for k in kernels)
-    makespan = env.now
-    return makespan, gemm_time, rs_end
+    gemm_time = run_plain_gemms(topo, shape, gemm_cus, alongside=rs.run)
+    rank_ends = (rs.result.per_rank_end if rs_mode == "cu"
+                 else rs.result.per_rank_terminal)
+    return env.now, gemm_time, max(rank_ends.values())
 
 
 def run(fast: bool = True) -> DPOverlapResult:
@@ -105,13 +86,8 @@ def run(fast: bool = True) -> DPOverlapResult:
     rs_bytes = shape.output_bytes  # gradient-sized payload
 
     # Isolated GEMM reference (all 80 CUs, no collective).
-    env = Environment()
-    topo = RingTopology(env, system)
-    kernels = _gemm_kernels(system, topo, shape, system.compute.n_cus)
-    for gpu, kernel in zip(topo.gpus, kernels):
-        gpu.launch(kernel)
-    env.run()
-    gemm_isolated = max(k.result.duration for k in kernels)
+    gemm_isolated = run_plain_gemms(RingTopology(Environment(), system),
+                                    shape)
 
     rows: List[DPOverlapRow] = []
     for strategy, policy, gemm_cus, rs_mode in (

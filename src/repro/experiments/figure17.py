@@ -109,7 +109,7 @@ def run(fast: bool = True) -> Figure17Result:
         system, shape, config_by_name("T3"), record_traffic=True)
     mc_t3 = topo_t3.gpus[0].mc
     t3_gemm_t = max(r.duration for r in fused.result.gemm_results)
-    window = fused.result.rs_done
+    window = fused.result.end
     t3 = {
         "GEMM reads": _binned(mc_t3, ["gemm.read"], 0, window, "GEMM reads"),
         "GEMM updates": _binned(mc_t3, ["gemm.update"], 0, window,

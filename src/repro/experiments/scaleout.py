@@ -34,14 +34,13 @@ from repro.collectives.baseline import PlannedReduceScatter
 from repro.config import SystemConfig, table1_system
 from repro.experiments.common import scaled_shape
 from repro.faults import InvariantChecker
-from repro.gpu.gemm import GEMMKernel
-from repro.gpu.wavefront import GEMMShape, TileGrid
+from repro.gpu.gemm import run_plain_gemms
+from repro.gpu.wavefront import GEMMShape
 from repro.interconnect.topology import (
     HierarchicalRingTopology,
     RingTopology,
     Topology,
 )
-from repro.memory.cache import estimate_gemm_traffic
 from repro.models import zoo
 from repro.obs import MetricsRegistry
 from repro.obs.profiler import PlanStageSpan, attribute_plan_stages
@@ -124,18 +123,7 @@ def _run_sequential(system: SystemConfig, shape: GEMMShape,
     env = Environment()
     env.invariants = InvariantChecker(env)
     topo = _make_topology(env, system, gpus_per_node, "compute-priority")
-    kernels = []
-    for gpu in topo.gpus:
-        grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
-        traffic = estimate_gemm_traffic(grid, system.memory,
-                                        bypass_writes=False)
-        kernels.append(GEMMKernel(grid, traffic))
-    procs = [gpu.launch(k) for gpu, k in zip(topo.gpus, kernels)]
-    env.run()
-    if any(not p.fired for p in procs):
-        raise RuntimeError("scaleout sequential GEMM never finished\n"
-                           + env.diagnostic_dump())
-    gemm_time = max(k.result.duration for k in kernels)
+    gemm_time = run_plain_gemms(topo, shape)
     rs = PlannedReduceScatter(topo, nbytes_total=shape.output_bytes)
     rs_time = rs.run().duration
     env.invariants.check_all()

@@ -14,6 +14,9 @@ Where the output goes is delegated to a :class:`StoreSink`:
 * T3's fused sink (:mod:`repro.t3.fusion`) — routes each chunk to local
   NMC updates or remote/DMA destinations per the address-space map.
 
+:func:`run_plain_gemms` is the unfused baseline GEMM on every GPU that
+the Sequential configurations and reference runs share.
+
 The kernel itself never knows whether it is fused — that is the paper's
 transparency claim (Section 4.4): only the output address mapping and a
 store flag change.
@@ -22,15 +25,16 @@ store flag change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.gpu.wavefront import StageInfo, TileGrid
-from repro.memory.cache import GEMMTraffic
+from repro.gpu.wavefront import GEMMShape, StageInfo, TileGrid
+from repro.memory.cache import GEMMTraffic, estimate_gemm_traffic
 from repro.memory.request import AccessKind, Stream
-from repro.sim.engine import BaseEvent
+from repro.sim.engine import BaseEvent, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.gpu import GPU
+    from repro.interconnect.topology import Topology
 
 
 @dataclass
@@ -235,3 +239,34 @@ class GEMMKernel:
         self.result.end = env.now
         self.sink.on_kernel_complete(gpu, self)
         return self.result
+
+
+def run_plain_gemms(topology: "Topology", shape: GEMMShape,
+                    n_cus: Optional[int] = None,
+                    alongside: Optional[Callable[[], object]] = None) -> float:
+    """Run one plain (unfused, local-write) GEMM per simulated GPU.
+
+    Kernels launch in rank order; ``alongside``, when given, is called
+    right after the launches to start independent work on the same GPUs
+    (it may run the schedule itself).  The schedule then runs until it
+    drains.  Returns the slowest kernel's duration; a kernel that never
+    finished raises :class:`~repro.sim.engine.SimulationError` with the
+    engine's diagnostic dump.
+    """
+    system = topology.system
+    env = topology.env
+    n_cus = n_cus or system.compute.n_cus
+    kernels = []
+    for _gpu in topology.gpus:
+        grid = TileGrid(shape, system.gemm, n_cus=n_cus)
+        traffic = estimate_gemm_traffic(grid, system.memory,
+                                        bypass_writes=False)
+        kernels.append(GEMMKernel(grid, traffic, n_cus=n_cus))
+    procs = [gpu.launch(k) for gpu, k in zip(topology.gpus, kernels)]
+    if alongside is not None:
+        alongside()
+    env.run()
+    if any(not p.fired for p in procs):
+        raise SimulationError("plain GEMM never finished\n"
+                              + env.diagnostic_dump())
+    return max(k.result.duration for k in kernels)

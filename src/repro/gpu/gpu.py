@@ -2,9 +2,9 @@
 
 A :class:`GPU` owns no global knowledge; multi-GPU structure (ring /
 fully-connected wiring) is assembled by :mod:`repro.interconnect.topology`.
-The optional ``tracker`` attribute is populated by the T3 configuration
-step (:mod:`repro.t3`) — a baseline GPU simply has none, mirroring the
-paper's "T3 enhancements in orange" framing of Figure 8.
+T3's Tracker is attached by the driver step (:mod:`repro.t3.driver`) as a
+memory-controller observer — a baseline GPU simply has none, mirroring
+the paper's "T3 enhancements in orange" framing of Figure 8.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.gpu.dma import DMAEngine
 from repro.memory.controller import MemoryController
 from repro.sim.engine import Environment, Process, SimulationError
 from repro.sim.primitives import Pipe
-from repro.sim.stats import IntervalStats
 
 
 class GPU:
@@ -30,8 +29,6 @@ class GPU:
         self.mc = MemoryController(env, system, policy_name=policy_name,
                                    gpu_id=gpu_id)
         self.dma = DMAEngine(self)
-        self.intervals = IntervalStats()
-        self.tracker = None  # set by repro.t3 when T3 is configured
         self._links: Dict[int, Pipe] = {}
         self._peers: Dict[int, "GPU"] = {}
 
@@ -63,16 +60,14 @@ class GPU:
     # -- kernel launch --------------------------------------------------------------
 
     def launch(self, kernel, name: Optional[str] = None) -> Process:
-        """Run ``kernel.execute(self)`` as a process, recording its span."""
+        """Run ``kernel.execute(self)`` as a process, recording its span
+        into ``env.obs`` and ``env.trace`` when they are attached."""
         label = name or getattr(kernel, "label", type(kernel).__name__)
 
         def _wrapper():
-            tag = f"{label}#{self.env.now:.0f}"
             start = self.env.now
-            self.intervals.begin(tag, start)
             result = yield self.env.process(
                 kernel.execute(self), name=f"gpu{self.gpu_id}.{label}")
-            self.intervals.end(tag, self.env.now)
             if self.env.obs is not None:
                 scope = self.env.obs.scope(self.gpu_id, "compute")
                 scope.span("kernel", start, self.env.now)

@@ -21,7 +21,7 @@ from repro.sim.primitives import (
     Store,
     Timeout,
 )
-from repro.sim.stats import Counter, IntervalStats, TimeSeries, UtilizationTracker
+from repro.sim.stats import Counter, TimeSeries, UtilizationTracker
 
 __all__ = [
     "AllOf",
@@ -30,7 +30,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "IntervalStats",
     "Pipe",
     "Process",
     "Resource",

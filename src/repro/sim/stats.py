@@ -1,14 +1,13 @@
-"""Measurement helpers: time series, counters, utilization, interval stats.
+"""Measurement helpers: time series, counters, utilization.
 
 Every figure in the paper's evaluation is ultimately a reduction over the
 quantities recorded here (DRAM reads/writes over time for Fig. 17, access
-breakdowns for Fig. 18, kernel intervals for Figs. 15/16...).
+breakdowns for Fig. 18...).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -155,37 +154,6 @@ class UtilizationTracker:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self._busy_time / elapsed)
-
-
-@dataclass
-class IntervalStats:
-    """Start/end bookkeeping for named phases (kernels, collective steps)."""
-
-    intervals: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
-    _open: Dict[str, float] = field(default_factory=dict)
-
-    def begin(self, name: str, time: float) -> None:
-        if name in self._open:
-            raise ValueError(f"interval {name!r} is already open")
-        self._open[name] = time
-
-    def end(self, name: str, time: float) -> None:
-        if name not in self._open:
-            raise ValueError(f"interval {name!r} was never opened")
-        start = self._open.pop(name)
-        if time < start:
-            raise ValueError(f"interval {name!r} ends before it starts")
-        self.intervals.setdefault(name, []).append((start, time))
-
-    def duration(self, name: str) -> float:
-        return sum(end - start for start, end in self.intervals.get(name, []))
-
-    def span(self, name: str) -> Tuple[float, float]:
-        """(first start, last end) across all occurrences of ``name``."""
-        spans = self.intervals.get(name)
-        if not spans:
-            raise KeyError(name)
-        return spans[0][0], spans[-1][1]
 
 
 def geomean(values: Sequence[float]) -> float:

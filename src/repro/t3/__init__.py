@@ -6,34 +6,36 @@
   (Section 4.2.2).
 * :mod:`repro.t3.address_map` — ``remote_map`` / ``dma_map`` address-space
   configuration (Section 4.4, Figures 11/12).
+* :mod:`repro.t3.driver` — the driver step (Figure 12) and run loop
+  every T3 collective shares.
 * :mod:`repro.t3.fusion` — the fused GEMM-collective orchestration
-  (Figure 7) built from the pieces above.
+  (Figure 7); :mod:`repro.t3.standalone` (zero-CU NMC reduce-scatter) and
+  :mod:`repro.t3.consumer` (all-gather -> consumer GEMM) reuse the same
+  driver step (Section 7.2).
 * :mod:`repro.t3.configs` — the evaluation configurations of Section 5.3.
 """
 
 from repro.t3.tracker import Tracker, TrackerStats
 from repro.t3.trigger import DMABlock, TriggerController
 from repro.t3.address_map import AddressSpaceConfig, ChunkRoute, RouteKind
-from repro.t3.fusion import FusedGEMMRS, FusedResult
-from repro.t3.consumer import (
-    ConsumerFusionResult,
-    FusedAGConsumerGEMM,
-    sequential_ag_then_gemm,
-)
+from repro.t3.driver import T3Result
+from repro.t3.fusion import FusedGEMMRS
+from repro.t3.standalone import NMCReduceScatter
+from repro.t3.consumer import FusedAGConsumerGEMM, sequential_ag_then_gemm
 from repro.t3.configs import RunConfig, CONFIGS
 
 __all__ = [
     "AddressSpaceConfig",
     "CONFIGS",
     "ChunkRoute",
-    "ConsumerFusionResult",
     "DMABlock",
     "FusedAGConsumerGEMM",
     "FusedGEMMRS",
-    "FusedResult",
+    "NMCReduceScatter",
     "sequential_ag_then_gemm",
     "RouteKind",
     "RunConfig",
+    "T3Result",
     "Tracker",
     "TrackerStats",
     "TriggerController",

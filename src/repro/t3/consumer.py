@@ -13,48 +13,33 @@ input before a long-running consumer GEMM.  T3 inverts its mechanism:
 
 The consumer grid enumerates chunks in ring-arrival order (own chunk
 first, then upstream chunks as they arrive), so in steady state the GEMM
-is never starved — the all-gather hides behind the compute.
+is never starved — the all-gather hides behind the compute.  The gates
+are terminal blocks of the shared driver step (:mod:`repro.t3.driver`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.collectives.baseline import RingAllGather
 from repro.collectives.plan import ring_all_gather_plan
-from repro.gpu.gemm import GEMMKernel, GEMMResult
+from repro.gpu.gemm import GEMMKernel, run_plain_gemms
 from repro.gpu.wavefront import GEMMShape, TileGrid
 from repro.interconnect.topology import Topology
 from repro.memory.cache import estimate_gemm_traffic
 from repro.sim.engine import BaseEvent
-from repro.t3.tracker import Tracker
-from repro.t3.trigger import DMABlock, TriggerController
+from repro.t3.driver import ChunkProgram, T3Driver
 
 
-@dataclass
-class ConsumerFusionResult:
-    """Outcome of one fused AG -> consumer-GEMM run."""
-
-    start: float = 0.0
-    end: float = 0.0
-    gemm_results: List[GEMMResult] = field(default_factory=list)
-    #: per rank: when each foreign chunk's scheduling gate fired.
-    gate_times: Dict[int, Dict[int, float]] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class FusedAGConsumerGEMM:
+class FusedAGConsumerGEMM(T3Driver):
     """Ring all-gather overlapped with its consumer GEMM on every rank."""
+
+    name = "fused AG->GEMM"
+    ledger_labels = ("ag",)
 
     def __init__(self, topology: Topology, shape: GEMMShape,
                  n_cus: Optional[int] = None):
-        self.topo = topology
-        self.env = topology.env
-        self.system = topology.system
+        super().__init__(topology)
         self.shape = shape
         self.n_cus = n_cus or self.system.compute.n_cus
         n = self.system.n_gpus
@@ -69,92 +54,44 @@ class FusedAGConsumerGEMM:
             for rank in range(n)
         ]
         self.ag = RingAllGather(topology, nbytes_total=shape.a_bytes)
-        self.trackers: List[Tracker] = []
-        self.kernels: List[GEMMKernel] = []
-        self.result = ConsumerFusionResult()
-        for rank in range(n):
-            self._setup_rank(rank)
+        for rank, grid in enumerate(self.grids):
+            # One whole-chunk region per *foreign input chunk*: the AG tags
+            # each arriving write with its chunk id, and the region
+            # completes when the whole chunk has landed.
+            self.result.gate_times[rank] = {}
+            gates = self._program(rank, [
+                ChunkProgram(cid, (cid,), self.ag.chunks[cid])
+                for cid in range(n) if cid != rank
+            ])
+            # Gate each GEMM stage on the foreign chunks its WGs read.
+            stage_gates: List[Optional[BaseEvent]] = []
+            for stage in grid.stages:
+                needed = [
+                    gates[cid] for cid in stage.chunk_bytes if cid in gates
+                ]
+                if not needed:
+                    stage_gates.append(None)
+                elif len(needed) == 1:
+                    stage_gates.append(needed[0])
+                else:
+                    stage_gates.append(self.env.all_of(needed))
+            traffic = estimate_gemm_traffic(grid, self.system.memory,
+                                            bypass_writes=False)
+            self.kernels.append(GEMMKernel(
+                grid, traffic, n_cus=self.n_cus, stage_gates=stage_gates))
 
-    def _setup_rank(self, rank: int) -> None:
-        gpu = self.topo.gpus[rank]
-        grid = self.grids[rank]
-        n = self.system.n_gpus
+    def _on_terminal(self, rank: int, chunk_id: int,
+                     event: BaseEvent) -> None:
+        event.add_callback(
+            lambda ev, r=rank, c=chunk_id:
+            self.result.gate_times[r].__setitem__(c, ev.value))
 
-        tracker = Tracker(self.system.tracker, granularity="wg",
-                          env=self.env, gpu_id=rank)
-        gpu.mc.add_tracker_observer(tracker.observe)
-        controller = TriggerController(self.env, tracker, gpu.dma)
-
-        # One tracked region per *foreign input chunk*: the AG tags each
-        # arriving write with its chunk id (wg_id == chunk id here), and
-        # the region completes when the whole chunk has landed.
-        chunk_sizes = self.ag.chunks
-        gates: Dict[int, BaseEvent] = {}
-        self.result.gate_times[rank] = {}
-        for chunk_id in range(n):
-            if chunk_id == rank:
-                continue  # locally resident, no gate
-            tracker.program_region(chunk_id, -1,
-                                   expected_bytes=chunk_sizes[chunk_id])
-            event = controller.program_block(DMABlock(
-                block_id=f"r{rank}.in-chunk{chunk_id}",
-                regions={(chunk_id, -1)},
-            ))
-            event.add_callback(
-                lambda ev, r=rank, c=chunk_id:
-                self.result.gate_times[r].__setitem__(c, ev.value))
-            gates[chunk_id] = event
-
-        # Gate each GEMM stage on the foreign chunks its WGs read.
-        stage_gates: List[Optional[BaseEvent]] = []
-        for stage in grid.stages:
-            needed = [
-                gates[cid] for cid in stage.chunk_bytes if cid in gates
-            ]
-            if not needed:
-                stage_gates.append(None)
-            elif len(needed) == 1:
-                stage_gates.append(needed[0])
-            else:
-                stage_gates.append(self.env.all_of(needed))
-
-        traffic = estimate_gemm_traffic(grid, self.system.memory,
-                                        bypass_writes=False)
-        self.kernels.append(GEMMKernel(
-            grid, traffic, n_cus=self.n_cus, stage_gates=stage_gates))
-        self.trackers.append(tracker)
-
-    def run(self) -> ConsumerFusionResult:
-        self.result.start = self.env.now
-        ag_procs = self.ag.launch()
-        gemm_procs = [
-            gpu.launch(kernel)
-            for gpu, kernel in zip(self.topo.gpus, self.kernels)
-        ]
-        done = self.env.all_of(ag_procs + gemm_procs)
-        self.env.run()
-        if not done.fired:
-            raise RuntimeError("fused AG->GEMM deadlocked")
-        self.result.end = self.env.now
-        self.result.gemm_results = [k.result for k in self.kernels]
-        return self.result
+    def _launch(self) -> List[BaseEvent]:
+        return self.ag.launch() + super()._launch()
 
 
 def sequential_ag_then_gemm(topology: Topology, shape: GEMMShape,
                             n_cus: Optional[int] = None) -> float:
     """Baseline for comparison: AG completes, then the GEMM runs."""
-    system = topology.system
     ag = RingAllGather(topology, nbytes_total=shape.a_bytes)
-    ag_time = ag.run().duration
-    kernels = []
-    for gpu in topology.gpus:
-        grid = TileGrid(shape, system.gemm,
-                        n_cus=n_cus or system.compute.n_cus)
-        traffic = estimate_gemm_traffic(grid, system.memory,
-                                        bypass_writes=False)
-        kernels.append(GEMMKernel(grid, traffic, n_cus=n_cus))
-    procs = [gpu.launch(k) for gpu, k in zip(topology.gpus, kernels)]
-    topology.env.run()
-    if any(not p.fired for p in procs):
-        raise RuntimeError("sequential consumer GEMM never finished")
-    return ag_time + max(k.result.duration for k in kernels)
+    return ag.run().duration + run_plain_gemms(topology, shape, n_cus)

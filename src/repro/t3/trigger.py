@@ -84,9 +84,6 @@ class TriggerController:
             return event
         return None
 
-    def terminal_event(self, block_id: str) -> BaseEvent:
-        return self._terminal_events[block_id]
-
     # -- runtime ---------------------------------------------------------------------
 
     def _on_region_complete(self, region: RegionKey) -> None:
@@ -147,9 +144,6 @@ class TriggerController:
             more = f" +{len(pending) - 5} more" if len(pending) > 5 else ""
             line += f" ({shown}{more})"
         return line
-
-    def block(self, block_id: str) -> DMABlock:
-        return self._blocks[block_id]
 
     @property
     def blocks_fired(self) -> int:

@@ -489,6 +489,59 @@ def test_one_rotation_period_reproduces_the_full_ring(name):
     assert _sha(run_sublayer_suite(system, shape).to_dict()) == digest
 
 
+#: (duration ns, events fired) per ring size on ``table1_system`` rings:
+#: a 4 MiB NMC reduce-scatter at a 32 KiB quantum, and the fused
+#: all-gather -> consumer GEMM (2048x1024x1024, 8 CUs) at 16 KiB.
+#: Recorded while each T3 driver still had its own set-up and run loop.
+_NMC_RS_RECORDED = {4: (47072.726153846204, 5_225),
+                    8: (60902.81435897448, 12_777)}
+_CONSUMER_RECORDED = {4: (443478.58285714465, 22_549),
+                      8: (443384.7481835829, 49_553)}
+#: ``run_consumer_fusion(fast=True)``: case -> (sequential, fused) us.
+_CONSUMER_FUSION_RECORDED = {
+    "Mega-GPT-2/FC-1-consumer/TP8": (364.5801718939882, 272.8972220666726),
+    "T-NLG/FC-1-consumer/TP8": (315.5707761947851, 265.5408592089141),
+}
+
+
+def _ring(n_gpus, quantum):
+    from repro.config import table1_system
+    from repro.interconnect.topology import RingTopology
+
+    env = Environment()
+    system = table1_system(n_gpus=n_gpus).with_fidelity(
+        quantum_bytes=quantum)
+    return env, RingTopology(env, system)
+
+
+@pytest.mark.parametrize("n_gpus", (4, 8))
+def test_nmc_rs_and_consumer_fusion_match_recorded_constants(n_gpus):
+    """The two smaller T3 drivers reproduce their recorded durations and
+    engine event counts exactly."""
+    from repro import units
+    from repro.gpu.wavefront import GEMMShape
+    from repro.t3.consumer import FusedAGConsumerGEMM
+    from repro.t3.standalone import NMCReduceScatter
+
+    env, topo = _ring(n_gpus, 32 * 1024)
+    result = NMCReduceScatter(topo, nbytes_total=4 * units.MiB).run()
+    assert (result.duration, env.events_fired) == _NMC_RS_RECORDED[n_gpus]
+
+    env, topo = _ring(n_gpus, 16 * 1024)
+    result = FusedAGConsumerGEMM(
+        topo, GEMMShape(2048, 1024, 1024), n_cus=8).run()
+    assert (result.duration, env.events_fired) == \
+        _CONSUMER_RECORDED[n_gpus]
+
+
+def test_consumer_fusion_study_matches_recorded_constants():
+    from repro.experiments.extensions import run_consumer_fusion
+
+    study = run_consumer_fusion(fast=True)
+    assert {row.case: (row.sequential_us, row.fused_us)
+            for row in study.rows} == _CONSUMER_FUSION_RECORDED
+
+
 #: what each row of the transparency table attaches; ``all`` attaches
 #: every one of them at once.
 _ATTACHMENTS = ("obs", "trace", "empty-faults+invariants", "resilience",

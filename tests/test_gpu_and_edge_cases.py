@@ -3,6 +3,7 @@ controller details, figure-module internals."""
 
 import pytest
 
+from repro.analysis.trace import TraceRecorder
 from repro.config import table1_system
 from repro.experiments.figure17 import TrafficSeries
 from repro.gpu.gemm import GEMMKernel
@@ -10,6 +11,7 @@ from repro.gpu.wavefront import GEMMShape, TileGrid
 from repro.interconnect.topology import RingTopology
 from repro.memory.cache import estimate_gemm_traffic
 from repro.memory.request import AccessKind, Stream
+from repro.obs import MetricsRegistry
 from repro.sim import Environment, Resource, SimulationError
 
 
@@ -23,6 +25,8 @@ def small_topo(n_gpus=2, quantum=8 * 1024):
 
 def test_launch_records_interval():
     env, topo = small_topo()
+    env.obs = MetricsRegistry()
+    env.trace = TraceRecorder()
     gpu = topo.gpus[0]
     shape = GEMMShape(256, 256, 128)
     grid = TileGrid(shape, topo.system.gemm, n_cus=2)
@@ -30,14 +34,18 @@ def test_launch_records_interval():
     kernel = GEMMKernel(grid, traffic, n_cus=2)
     proc = gpu.launch(kernel, name="my-gemm")
     env.run_until_process(proc)
-    tags = [tag for tag in gpu.intervals.intervals if tag.startswith("my-gemm")]
-    assert len(tags) == 1
-    start, end = gpu.intervals.span(tags[0])
+    compute = env.obs.get(0, "compute")
+    assert compute.counter("kernels") == 1
+    start, end = compute.spans("kernel").bounds()
     assert end > start
+    [span] = env.trace.by_category("kernel")
+    assert (span.name, span.track) == ("my-gemm", "GPU0")
+    assert (span.start_ns, span.end_ns) == (start, end)
 
 
 def test_launch_two_kernels_sequentially_tracked():
     env, topo = small_topo()
+    env.obs = MetricsRegistry()
     gpu = topo.gpus[0]
     shape = GEMMShape(256, 256, 128)
     for i in range(2):
@@ -45,8 +53,9 @@ def test_launch_two_kernels_sequentially_tracked():
         traffic = estimate_gemm_traffic(grid, topo.system.memory, False)
         proc = gpu.launch(GEMMKernel(grid, traffic, n_cus=2), name="k")
         env.run_until_process(proc)
-    tags = [t for t in gpu.intervals.intervals if t.startswith("k#")]
-    assert len(tags) == 2
+    compute = env.obs.get(0, "compute")
+    assert compute.counter("kernels") == 2
+    assert compute.spans("kernel").count == 2
 
 
 # ------------------------------------------------------------ engine corners

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.stats import (
     Counter,
-    IntervalStats,
     TimeSeries,
     UtilizationTracker,
     geomean,
@@ -184,31 +183,6 @@ def test_utilization_zero_duration_span_is_noop():
     u.busy(10, 0)
     u.busy(5, 0)
     assert u.busy_time == 0.0
-
-
-# -------------------------------------------------------------- IntervalStats
-
-def test_interval_stats_duration_and_span():
-    stats = IntervalStats()
-    stats.begin("gemm", 0)
-    stats.end("gemm", 10)
-    stats.begin("gemm", 20)
-    stats.end("gemm", 25)
-    assert stats.duration("gemm") == 15
-    assert stats.span("gemm") == (0, 25)
-
-
-def test_interval_stats_errors():
-    stats = IntervalStats()
-    with pytest.raises(ValueError):
-        stats.end("never-opened", 5)
-    stats.begin("x", 0)
-    with pytest.raises(ValueError):
-        stats.begin("x", 1)
-    with pytest.raises(ValueError):
-        stats.end("x", -1)
-    with pytest.raises(KeyError):
-        stats.span("missing")
 
 
 # ------------------------------------------------------------------ geomean

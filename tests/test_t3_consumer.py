@@ -4,14 +4,17 @@
 import pytest
 
 from repro.config import table1_system
+from repro.faults import FaultInjector, FaultPlan, TrackerPressure
 from repro.gpu.wavefront import GEMMShape
 from repro.interconnect.topology import RingTopology
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 from repro.t3.consumer import FusedAGConsumerGEMM, sequential_ag_then_gemm
 
 
-def make_topo(n_gpus=4, quantum=16 * 1024):
+def make_topo(n_gpus=4, quantum=16 * 1024, faults=None):
     env = Environment()
+    if faults is not None:
+        env.faults = FaultInjector(faults)
     system = table1_system(n_gpus=n_gpus).with_fidelity(quantum_bytes=quantum)
     return env, RingTopology(env, system)
 
@@ -25,6 +28,33 @@ def test_fused_ag_gemm_completes():
     result = fused.run()
     assert result.duration > 0
     assert len(result.gemm_results) == 4
+
+
+def test_consumer_ledgers_balance():
+    """Every foreign input chunk arrived exactly once."""
+    env, topo = make_topo()
+    fused = FusedAGConsumerGEMM(topo, SHAPE, n_cus=8)
+    fused.run()
+    assert len(fused.ledgers) == 4
+    for ledger in fused.ledgers:
+        rows = ledger.summary()
+        assert len(rows) == 3
+        assert all(count == 1 for _cid, count, _sealed in rows)
+
+
+def test_evicted_gate_region_is_a_diagnosable_error():
+    """A gate whose Tracker region was evicted never opens: the consumer
+    GEMM stalls, which surfaces as a diagnosable error."""
+    env, topo = make_topo(faults=FaultPlan(tracker=(
+        TrackerPressure(gpu_id=1, evict_every=2),)))
+    with pytest.raises(SimulationError) as excinfo:
+        FusedAGConsumerGEMM(topo, SHAPE, n_cus=8).run()
+    message = str(excinfo.value)
+    assert message.startswith(
+        "fused AG->GEMM deadlocked; pending tracker regions: [];")
+    assert "simulation diagnostic dump" in message
+    assert "blocked gpu1.gemm" in message
+    assert "trigger[gpu1]: 2 fired, 1 pending (r1.chunk0)" in message
 
 
 def test_all_gates_fire_in_arrival_order():

@@ -74,7 +74,7 @@ def test_fused_run_completes_all_chunks():
 def test_fused_reduction_invariants_hold():
     """Every tracked chunk on every rank accumulated exactly its two
     whole-chunk contributions (local + incoming)."""
-    env, topo, fused, result = run_fused(check_invariants=True)
+    env, topo, fused, result = run_fused()
     for ledger in fused.ledgers:
         for _cid, count, _sealed in ledger.summary():
             assert count == 2
@@ -120,7 +120,7 @@ def test_fused_rs_tail_is_shorter_than_sequential_rs():
     completion must be far below a full sequential RS."""
     env, topo, fused, result = run_fused(m=2048, n=1024, k=2048, n_cus=8)
     gemm_end = max(r.end for r in result.gemm_results)
-    tail = result.rs_done - gemm_end
+    tail = result.end - gemm_end
     from repro.collectives.api import ring_rs_time
     sequential_rs = ring_rs_time(
         fused.shape.output_bytes, topo.system)
@@ -150,8 +150,7 @@ def test_tracker_saw_every_update():
                                      fused.grids):
         assert tracker.live_regions == 0  # everything completed
         programmed = sum(
-            len(fused._chunk_wgs(grid, cid))
-            for cid in config.tracked_chunks())
+            len(grid.chunk_wgs(cid)) for cid in config.tracked_chunks())
         assert tracker.stats.regions_programmed == programmed
         assert tracker.stats.regions_completed == programmed
 

@@ -6,13 +6,18 @@ from repro import units
 from repro.collectives.baseline import RingReduceScatter
 from repro.config import table1_system
 from repro.experiments import dp_overlap
+from repro.faults import (DMACompletionFault, FaultInjector, FaultPlan,
+                          TrackerPressure)
 from repro.interconnect.topology import RingTopology
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 from repro.t3.standalone import NMCReduceScatter
 
 
-def make_topo(n_gpus=4, quantum=32 * 1024, policy="compute-priority"):
+def make_topo(n_gpus=4, quantum=32 * 1024, policy="compute-priority",
+              faults=None):
     env = Environment()
+    if faults is not None:
+        env.faults = FaultInjector(faults)
     system = table1_system(n_gpus=n_gpus).with_fidelity(quantum_bytes=quantum)
     return env, RingTopology(env, system, policy_name=policy)
 
@@ -74,11 +79,65 @@ def test_nmc_rs_eight_gpus():
     assert len(result.per_rank_terminal) == 8
 
 
+def test_nmc_rs_ledgers_balance():
+    """Every tracked chunk received exactly its one incoming partial."""
+    env, topo = make_topo()
+    rs = NMCReduceScatter(topo, nbytes_total=4 * units.MiB)
+    rs.run()
+    assert len(rs.ledgers) == 4
+    for ledger in rs.ledgers:
+        rows = ledger.summary()
+        assert len(rows) == 3
+        assert all(count == 1 for _cid, count, _sealed in rows)
+
+
+def test_nmc_rs_dropped_completion_is_a_diagnosable_error():
+    """A lost DMA completion is a hang, not a normal finish."""
+    env, topo = make_topo(faults=FaultPlan(dma=(
+        DMACompletionFault(action="drop", gpu_id=1),)))
+    with pytest.raises(SimulationError) as excinfo:
+        NMCReduceScatter(topo, nbytes_total=4 * units.MiB).run()
+    message = str(excinfo.value)
+    assert "dropped DMA completions: [(1, ['nmc-rs.chunk2'])]" in message
+    assert "simulation diagnostic dump" in message
+
+
+def test_nmc_rs_evicted_region_is_a_diagnosable_error():
+    """GPU 1 loses a region's counts, so its chunk-3 partial never moves
+    on and the ranks waiting for it report their pending regions."""
+    env, topo = make_topo(quantum=16 * 1024, faults=FaultPlan(tracker=(
+        TrackerPressure(gpu_id=1, evict_every=2),)))
+    with pytest.raises(SimulationError) as excinfo:
+        NMCReduceScatter(topo, nbytes_total=4 * units.MiB).run()
+    message = str(excinfo.value)
+    assert message.startswith(
+        "NMC reduce-scatter deadlocked; pending tracker regions: "
+        "[(0, [(3, -1)], 1), (3, [(3, -1)], 1)]")
+    assert "simulation diagnostic dump" in message
+    assert "gpu1.tracker: live=0 programmed=3 completed=2 evicted=1" \
+        in message
+
+
 # ------------------------------------------------------------- dp_overlap
 
 @pytest.fixture(scope="module")
 def dp_result():
     return dp_overlap.run(fast=True)
+
+
+def test_dp_overlap_matches_recorded_constants(dp_result):
+    """Makespan, GEMM slowdown and RS finish (us) of every strategy, and
+    the isolated GEMM, recorded while NMC-RS had its own run loop."""
+    assert dp_result.gemm_isolated_us == 211.50446914027182
+    assert {r.strategy: (r.makespan_us, r.gemm_slowdown, r.rs_us)
+            for r in dp_result.rows} == {
+        "CU-split": (232.28869050143155, 1.0982684736906219,
+                     193.34489965175845),
+        "NMC-RS/RR": (212.44419450980428, 1.0044430520704941,
+                      129.1091368929112),
+        "NMC-RS/MCA": (212.44419450980428, 1.0044430520704941,
+                       129.1091368929112),
+    }
 
 
 def test_dp_overlap_strategies_present(dp_result):

@@ -67,6 +67,20 @@ class TraceSpan:
         return (self.start_ns, self.end_ns, self.group, self.track,
                 self.category, self.name)
 
+    def relabelled(self, name: str, track: str,
+                   args: Optional[Dict[str, Any]]) -> "TraceSpan":
+        """This span under another name, track and args: a rotated rank's
+        copy (:mod:`repro.obs.rotation`).  Built from this span's fields
+        without re-running the checks they passed, which would dominate
+        copying tens of thousands of spans."""
+        fields = self.__dict__.copy()
+        fields["name"] = name
+        fields["track"] = track
+        fields["args"] = args
+        span = object.__new__(TraceSpan)
+        object.__setattr__(span, "__dict__", fields)
+        return span
+
 
 def events_to_spans(events: Sequence[Dict[str, Any]]) -> List[TraceSpan]:
     """Reconstruct :class:`TraceSpan`\\ s from Chrome trace events.

@@ -32,6 +32,7 @@ from repro.gpu.wavefront import GEMMShape, TileGrid
 from repro.interconnect.topology import PeriodicRingTopology, RingTopology
 from repro.models.transformer import SubLayer
 from repro.models import zoo
+from repro.obs.rotation import rotate_out
 from repro.sim import Environment
 from repro.t3.configs import CONFIGS, RunConfig, config_by_name
 from repro.t3.fusion import FusedGEMMRS
@@ -137,7 +138,7 @@ def _attach_resilience(env: Environment, resilience) -> None:
 
 def _ring_period(system: SystemConfig,
                  shape: GEMMShape) -> Optional[Tuple[int, int]]:
-    """``(period, WGs per chunk)`` of the suite's ring on ``shape`` when
+    """``(period, WGs per chunk)`` of the fused runs' ring on ``shape`` when
     fewer ranks than the ring's reproduce it
     (:func:`~repro.collectives.plan.rotation_period`), else None."""
     n = system.n_gpus
@@ -146,6 +147,24 @@ def _ring_period(system: SystemConfig,
         ring_reduce_scatter_plan(n, max_chunks=grid.n_wgs), grid.n_wgs,
         grid.tiles_n, shape.output_bytes)
     return (period, grid.n_wgs // n) if period < n else None
+
+
+def _sequential_period(system: SystemConfig,
+                       shape: GEMMShape) -> Optional[Tuple[int, int]]:
+    """The Sequential run's ``ring``: its GEMM is not chunked, so every
+    rank repeats rank 0 whenever the ring RS/AG cut the output into
+    equal-byte chunks.  Their writes label each chunk's one WG with the
+    chunk id, so a chunk is one WG wide."""
+    return (1, 1) if shape.output_bytes % system.n_gpus == 0 else None
+
+
+def _rotate_records(topo: RingTopology, unrotated_labels=()) -> None:
+    """Copy a one-period run's registry and trace records out to the
+    ring ranks it did not simulate (:func:`~repro.obs.rotation.rotate_out`),
+    so they hold what the full ring records."""
+    if topo.n_simulated < topo.n_gpus:
+        rotate_out(topo.n_gpus, topo.n_simulated, topo.env.obs,
+                   topo.env.trace, unrotated_labels)
 
 
 def _fresh_topology(system: SystemConfig, policy: str,
@@ -196,6 +215,8 @@ def _run_sequential(system: SystemConfig, shape: GEMMShape,
     ag_time = ag.run().duration
     if env.invariants is not None:
         env.invariants.check_all()
+    # The plain GEMM's one-chunk grid writes "chunk 0" on every rank.
+    _rotate_records(topo, unrotated_labels=("gemm",))
     return topo, gemm_time, rs_time, ag_time
 
 
@@ -214,6 +235,7 @@ def _run_fused(system: SystemConfig, shape: GEMMShape, config: RunConfig,
     ag_time = ag.run().duration
     if env.invariants is not None:
         env.invariants.check_all()
+    _rotate_records(topo)
     total = fused_result.duration + ag_time
     return topo, fused, total
 
@@ -242,7 +264,10 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
     under the configuration name.  Registries are recorded per-run and
     are not cacheable, so profiled suites must bypass the sweep cache
     (see ``repro.experiments.profile``).  Recording is passive: the
-    returned suite is identical with or without a sink.
+    returned suite is identical with or without a sink.  A run of one
+    rotation period of the ring copies its records out to the ranks it
+    did not simulate (:func:`~repro.obs.rotation.rotate_out`), so each
+    registry holds what the full ring records.
 
     ``resilience`` (falsy, ``True``, or a
     :class:`~repro.resilience.ResiliencePolicy`) attaches a
@@ -256,7 +281,8 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
     :class:`~repro.analysis.trace.TraceRecorder` (``record_dram=True``)
     attached, stored under the configuration name.  Like registries,
     recorders are per-run state — traced suites must bypass the sweep
-    cache.
+    cache — and cover every rank; copied spans follow the simulated
+    ranks' in ``recorder.spans``.
     """
     wanted = configs or list(KNOWN_CONFIG_NAMES)
     unknown = [name for name in wanted if name not in KNOWN_CONFIG_NAMES]
@@ -281,22 +307,22 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
 
     suite = SublayerSuite(label=label or shape.name, shape=shape,
                           system=system)
-    # With nothing attached, a rank-symmetric case simulates one rotation
-    # period of the ring: the other ranks would repeat those with chunk
-    # ids shifted, so every time and per-GPU average is unchanged.
-    # Attachments record per-GPU state, so they keep the full ring.
-    plain = (faults is None and not check_invariants and obs_sink is None
-             and trace_sink is None and not resilience
+    # A rank-symmetric case simulates one rotation period of the ring:
+    # the other ranks would repeat those with chunk ids shifted, so every
+    # time and per-GPU average is unchanged, and registry and trace
+    # records are copied out to them.  Faults, invariant checks,
+    # resilience, traffic recording and adaptive or logged policies
+    # keep the full ring, the oracle the copies are checked against.
+    plain = (faults is None and not check_invariants and not resilience
              and not record_traffic and system.policy.kind == "static"
              and not system.policy.record_decisions)
     ring = _ring_period(system, shape) if plain else None
 
-    topo, gemm_t, rs_t, ag_t = _run_sequential(system, shape, record_traffic,
-                                               faults, check_invariants,
-                                               obs=_registry("Sequential"),
-                                               resilience=resilience,
-                                               trace=_trace("Sequential"),
-                                               ring=ring)
+    topo, gemm_t, rs_t, ag_t = _run_sequential(
+        system, shape, record_traffic, faults, check_invariants,
+        obs=_registry("Sequential"), resilience=resilience,
+        trace=_trace("Sequential"),
+        ring=_sequential_period(system, shape) if plain else None)
     suite.gemm_time, suite.rs_time, suite.ag_time = gemm_t, rs_t, ag_t
     suite.times["Sequential"] = gemm_t + rs_t + ag_t
     suite.traffic["Sequential"] = collect_breakdown(topo.gpus)

@@ -35,7 +35,8 @@ in ``tests/test_engine_regressions.py`` asserts exactly that.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+import copy
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.stats import TimeSeries
 
@@ -294,6 +295,35 @@ class Scope:
     def get_series(self, name: str) -> Optional[TimeSeries]:
         return self._series.get(name)
 
+    def replica(self, gpu: int,
+                rename: Callable[[str], str] = lambda name: name) -> "Scope":
+        """This scope's metrics as GPU ``gpu`` records them, every metric
+        name mapped through ``rename`` (a rotated rank's copy, see
+        :mod:`repro.obs.rotation`).  Every container is copied; the
+        samples and intervals they hold are immutable and shared."""
+        component = self.component
+        scope = Scope(gpu, component)
+        scope.counters = {rename(name): value
+                          for name, value in self.counters.items()}
+        for name, gauge in self.gauges.items():
+            clone = scope.gauges[rename(name)] = copy.copy(gauge)
+            clone.name = f"{component}.{rename(name)}"
+            clone.samples = list(gauge.samples)
+            clone._level_time = dict(gauge._level_time)
+        scope.observations = {rename(name): copy.copy(stats)
+                              for name, stats in self.observations.items()}
+        for name, series in self._series.items():
+            clone = scope._series[rename(name)] = TimeSeries(
+                f"{component}.{rename(name)}")
+            clone.times = list(series.times)
+            clone.values = list(series.values)
+        for name, spans in self._spans.items():
+            clone = scope._spans[rename(name)] = SpanList(
+                f"{component}.{rename(name)}")
+            clone.spans = list(spans.spans)
+            clone.count = spans.count
+        return scope
+
     def to_dict(self, until: Optional[float] = None) -> Dict[str, Any]:
         return {
             "gpu": self.gpu,
@@ -332,6 +362,12 @@ class MetricsRegistry:
 
     def get(self, gpu: int, component: str) -> Optional[Scope]:
         return self._scopes.get((gpu, component))
+
+    def add(self, scope: Scope) -> None:
+        """Register a scope built elsewhere (a :meth:`Scope.replica`)."""
+        if scope.key in self._scopes:
+            raise ValueError(f"scope {scope.key} is already registered")
+        self._scopes[scope.key] = scope
 
     def scopes(self, component: Optional[str] = None) -> List[Scope]:
         selected = [

@@ -209,6 +209,11 @@ class T3Driver:
                 for rank, tracker in enumerate(self.trackers)
                 if tracker.live_regions
             ]
+            evicted = [
+                (rank, tracker.evicted[:3], len(tracker.evicted))
+                for rank, tracker in enumerate(self.trackers)
+                if tracker.evicted
+            ]
             dropped = [
                 (gpu.gpu_id, list(gpu.dma.dropped_completions))
                 for gpu in self.topo.gpus
@@ -217,6 +222,7 @@ class T3Driver:
             raise SimulationError(
                 f"{self.name} deadlocked; pending tracker regions: "
                 f"{pending}; dropped DMA completions: {dropped}\n"
+                f"evicted tracker regions: {evicted}\n"
                 + env.diagnostic_dump())
         self.result.end = (
             finished_at[0]

@@ -94,6 +94,9 @@ class Tracker:
         self._live = 0
         self._on_complete: List[Callable[[RegionKey], None]] = []
         self.stats = TrackerStats()
+        #: keys of regions a pressure fault evicted and nothing restored:
+        #: their triggers can never fire (see :meth:`_force_evict`).
+        self.evicted: List[RegionKey] = []
         #: issue time of the request currently being credited; lets the
         #: completing credit report trigger-fire latency (issue -> fire).
         self._crediting_issued_at: Optional[float] = None
@@ -153,6 +156,7 @@ class Tracker:
         entry = self._set_for(victim[0]).pop(victim)
         self._live -= 1
         self.stats.forced_evictions += 1
+        self.evicted.append(victim)
         if self.env is not None and self.env.faults is not None:
             self.env.faults.record_eviction(self.gpu_id, victim)
         if self.env is not None and self.env.resilience is not None:
@@ -178,6 +182,8 @@ class Tracker:
         entry_set[key] = TrackerEntry(key=key, expected_bytes=remaining)
         self._live += 1
         self.stats.regions_restored += 1
+        if key in self.evicted:
+            self.evicted.remove(key)
         self.stats.peak_ways_used = max(
             self.stats.peak_ways_used, len(entry_set))
         if self.env is not None and self.env.obs is not None:
@@ -295,8 +301,9 @@ class Tracker:
                 f"programmed={stats.regions_programmed} "
                 f"completed={stats.regions_completed} "
                 f"evicted={stats.forced_evictions}")
-        if pending:
-            shown = ", ".join(map(str, pending[:5]))
-            more = f" +{len(pending) - 5} more" if len(pending) > 5 else ""
-            line += f"; pending regions: {shown}{more}"
+        for label, keys in (("pending", pending), ("evicted", self.evicted)):
+            if keys:
+                shown = ", ".join(map(str, keys[:5]))
+                more = f" +{len(keys) - 5} more" if len(keys) > 5 else ""
+                line += f"; {label} regions: {shown}{more}"
         return line

@@ -289,6 +289,12 @@ def test_forced_eviction_loses_the_region():
     assert tracker.stats.forced_evictions == 1
     assert tracker.pending_regions() == [(1, -1)]
     assert ("tracker-evict", 0, (0, -1)) in env.faults.applied
+    # The lost key stays on record, and in the hang dump, until restored.
+    assert tracker.evicted == [(0, -1)]
+    assert "; evicted regions: (0, -1)" in tracker._diagnostic()
+    tracker.restore_region((0, -1), remaining_bytes=100)
+    assert tracker.evicted == []
+    assert "evicted regions" not in tracker._diagnostic()
 
 
 # --------------------------------------------------------- end-to-end runs

@@ -50,8 +50,13 @@ def test_evicted_gate_region_is_a_diagnosable_error():
     with pytest.raises(SimulationError) as excinfo:
         FusedAGConsumerGEMM(topo, SHAPE, n_cus=8).run()
     message = str(excinfo.value)
-    assert message.startswith(
-        "fused AG->GEMM deadlocked; pending tracker regions: [];")
+    first, second = message.splitlines()[:2]
+    assert first == ("fused AG->GEMM deadlocked; pending tracker regions: "
+                     "[]; dropped DMA completions: []")
+    # The region the fault evicted is named, not only counted in the dump.
+    assert second == "evicted tracker regions: [(1, [(0, -1)], 1)]"
+    assert "gpu1.tracker: live=0 programmed=3 completed=2 evicted=1; " \
+        "evicted regions: (0, -1)" in message
     assert "simulation diagnostic dump" in message
     assert "blocked gpu1.gemm" in message
     assert "trigger[gpu1]: 2 fired, 1 pending (r1.chunk0)" in message

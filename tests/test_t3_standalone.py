@@ -113,6 +113,8 @@ def test_nmc_rs_evicted_region_is_a_diagnosable_error():
     assert message.startswith(
         "NMC reduce-scatter deadlocked; pending tracker regions: "
         "[(0, [(3, -1)], 1), (3, [(3, -1)], 1)]")
+    assert message.splitlines()[1] == \
+        "evicted tracker regions: [(1, [(3, -1)], 1)]"
     assert "simulation diagnostic dump" in message
     assert "gpu1.tracker: live=0 programmed=3 completed=2 evicted=1" \
         in message

@@ -34,15 +34,21 @@ as an aggregate snapshot under the top-level ``"t3"`` key.
 from __future__ import annotations
 
 import json
+import operator
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: schema tag written under the top-level "t3" key of saved traces.
 TRACE_SCHEMA = 1
 
 #: args keys reserved by the exporter for exact span endpoints.
 _EXACT_KEYS = ("start_ns", "end_ns")
+
+#: the timeline order of spans: :meth:`TraceSpan.sort_key` without a
+#: Python call per span.
+SPAN_ORDER = operator.attrgetter("start_ns", "end_ns", "group", "track",
+                                 "category", "name")
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,7 @@ class TraceSpan:
         return self.end_ns - self.start_ns
 
     def sort_key(self):
-        return (self.start_ns, self.end_ns, self.group, self.track,
-                self.category, self.name)
+        return SPAN_ORDER(self)
 
     def relabelled(self, name: str, track: str,
                    args: Optional[Dict[str, Any]]) -> "TraceSpan":
@@ -82,38 +87,109 @@ class TraceSpan:
         return span
 
 
-def events_to_spans(events: Sequence[Dict[str, Any]]) -> List[TraceSpan]:
+def read_trace(path: str) -> Tuple[Dict[str, Any], List[Any]]:
+    """A saved trace's top-level object and its event array.
+
+    Accepts this exporter's files and any Chrome JSON (an object with
+    ``traceEvents``, or a bare event array, read as ``({}, events)``);
+    anything else raises :class:`ValueError` naming the file.
+    """
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except ValueError as error:
+        raise ValueError(f"{path}: not a JSON trace ({error})") from None
+    if isinstance(payload, list):
+        return {}, payload
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a trace is an object or an event array, "
+                         f"not {type(payload).__name__}")
+    events = payload.get("traceEvents", [])
+    if not isinstance(events, list):
+        raise ValueError(f"{path}: traceEvents is "
+                         f"{type(events).__name__}, not an array")
+    header = payload.get("t3", {})
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: \"t3\" is {type(header).__name__}, not "
+                         "an object")
+    if not isinstance(header.get("registry", {}), (dict, type(None))):
+        raise ValueError(f"{path}: the \"t3\" registry snapshot is not an "
+                         "object")
+    return payload, events
+
+
+def _event_error(source: str, index: int, problem: str) -> ValueError:
+    return ValueError(f"{source}: event {index}: {problem}")
+
+
+def _event_args(event: Dict[str, Any], source: str,
+                index: int) -> Dict[str, Any]:
+    args = event.get("args") or {}
+    if not isinstance(args, dict):
+        raise _event_error(source, index,
+                           f"args is {type(args).__name__}, not an object")
+    return args
+
+
+def _event_number(value: Any, source: str, index: int, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _event_error(source, index,
+                           f"{name} is {value!r}, not a number") from None
+
+
+def _event_thread(event: Dict[str, Any], source: str, index: int):
+    thread = (event.get("pid"), event.get("tid"))
+    if any(isinstance(part, (list, dict)) for part in thread):
+        raise _event_error(source, index, "pid and tid must be scalars")
+    return thread
+
+
+def events_to_spans(events: Sequence[Any],
+                    source: str = "<events>") -> List[TraceSpan]:
     """Reconstruct :class:`TraceSpan`\\ s from Chrome trace events.
 
     Complete ("X") and instant ("i"/"I") events become spans; counter and
-    metadata events are skipped (see
-    :meth:`~repro.trace.TraceQuery.from_file` for counters).  Events
+    metadata events are skipped (see :func:`events_to_counters`).  Events
     written by :meth:`TraceRecorder.to_chrome_events` round-trip exactly
     via their ``args.start_ns``/``args.end_ns``; foreign traces (e.g. an
-    nsys Chrome export) fall back to ``ts``/``dur`` microseconds.
+    nsys Chrome export) fall back to ``ts``/``dur`` microseconds.  An
+    event that is not an object, any event whose args are not an object,
+    and a span whose times or thread ids cannot be read raise
+    :class:`ValueError` naming ``source`` and the event's index.
     """
-    names: Dict[Any, str] = {}
-    for event in events:
-        if event.get("ph") == "M" and event.get("name") == "thread_name":
-            names[(event.get("pid"), event.get("tid"))] = \
-                event.get("args", {}).get("name", "")
-    spans: List[TraceSpan] = []
-    for event in events:
+    names: Dict[Any, Any] = {}
+    span_events = []
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            raise ValueError(f"{source}: event {index} is "
+                             f"{type(event).__name__}, not an object")
+        args = _event_args(event, source, index)
         ph = event.get("ph")
-        if ph not in ("X", "i", "I"):
-            continue
-        args = event.get("args") or {}
+        if ph == "M" and event.get("name") == "thread_name":
+            names[_event_thread(event, source, index)] = \
+                args.get("name", "")
+        elif ph in ("X", "i", "I"):
+            span_events.append((index, event, args))
+    spans: List[TraceSpan] = []
+    for index, event, args in span_events:
         if "start_ns" in args and "end_ns" in args:
-            start_ns = float(args["start_ns"])
-            end_ns = float(args["end_ns"])
+            start_ns = _event_number(args["start_ns"], source, index,
+                                     "start_ns")
+            end_ns = _event_number(args["end_ns"], source, index, "end_ns")
         else:
-            start_ns = float(event.get("ts", 0.0)) * 1e3
-            end_ns = start_ns + float(event.get("dur", 0.0)) * 1e3
+            start_ns = _event_number(event.get("ts", 0.0), source, index,
+                                     "ts") * 1e3
+            end_ns = start_ns + _event_number(
+                event.get("dur", 0.0), source, index, "dur") * 1e3
+        if end_ns < start_ns:
+            raise _event_error(source, index, "the span ends before it "
+                               "starts")
         user_args = {key: value for key, value in args.items()
                      if key not in _EXACT_KEYS}
-        track = names.get((event.get("pid"), event.get("tid")))
-        if not track:
-            track = str(event.get("tid", "?"))
+        track = names.get(_event_thread(event, source, index))
+        track = str(track) if track else str(event.get("tid", "?"))
         spans.append(TraceSpan(
             name=str(event.get("name", "")),
             category=str(event.get("cat", "")),
@@ -123,15 +199,45 @@ def events_to_spans(events: Sequence[Dict[str, Any]]) -> List[TraceSpan]:
     return spans
 
 
+def events_to_counters(events: Sequence[Dict[str, Any]],
+                       source: str = "<events>",
+                       ) -> Dict[str, List[Tuple[float, float]]]:
+    """Counter ("C") events as track name -> ``[(t_ns, value), ...]``:
+    exact ``args.t_ns`` where the exporter wrote it, else ``ts``
+    microseconds.  ``events`` passed :func:`events_to_spans`."""
+    counters: Dict[str, List[Tuple[float, float]]] = {}
+    for index, event in enumerate(events):
+        if event.get("ph") != "C":
+            continue
+        args = _event_args(event, source, index)
+        t_ns = args.get("t_ns")
+        if t_ns is None:
+            t_ns = _event_number(event.get("ts", 0.0), source, index,
+                                 "ts") * 1e3
+        counters.setdefault(str(event.get("name", "")), []).append(
+            (_event_number(t_ns, source, index, "t_ns"),
+             _event_number(args.get("value", 0.0), source, index, "value")))
+    return counters
+
+
 @dataclass
 class TraceRecorder:
-    """Collects spans; converts to Chrome's JSON event array."""
+    """Collects spans; converts to Chrome's JSON event array.
+
+    ``spans`` holds what was recorded.  A run of one rotation period of
+    its ring then gets ``ring`` (:func:`~repro.obs.rotation.rotate_out`),
+    and :meth:`ring_spans`, ``len``, the exports and
+    :class:`~repro.trace.TraceQuery` present every rank's spans.
+    """
 
     spans: List[TraceSpan] = field(default_factory=list)
     #: record per-request DRAM service spans (noisy; off by default, but
     #: required for decomposition-grade traces — post-hoc hidden/exposed
     #: math needs the comm-stream DRAM service intervals).
     record_dram: bool = False
+    #: the :class:`~repro.obs.rotation.Ring` that ``spans`` are one
+    #: rotation period of, or None when they cover every rank.
+    ring: Any = field(default=None, init=False, repr=False, compare=False)
 
     def span(self, name: str, category: str, start_ns: float, end_ns: float,
              track: str, group: str = "sim",
@@ -146,10 +252,19 @@ class TraceRecorder:
         self.span(name, category, at_ns, at_ns, track, group, args)
 
     def __len__(self) -> int:
-        return len(self.spans)
+        if self.ring is None:
+            return len(self.spans)
+        return len(self.spans) * self.ring.repeats
+
+    def ring_spans(self) -> List[TraceSpan]:
+        """Every rank's spans: ``spans``, followed on a rotated recorder
+        by the copies the other ranks would record."""
+        if self.ring is None:
+            return list(self.spans)
+        return self.ring.spans(self.spans)
 
     def by_category(self, category: str) -> List[TraceSpan]:
-        return [s for s in self.spans if s.category == category]
+        return [s for s in self.ring_spans() if s.category == category]
 
     def to_chrome_events(self) -> List[Dict[str, Any]]:
         """Complete ("X") / instant ("i") events plus thread-name metadata.
@@ -161,7 +276,8 @@ class TraceRecorder:
         contract); zero-length spans become instant events instead of
         being inflated to a fake 1 ps duration.
         """
-        tracks = sorted({(span.group, span.track) for span in self.spans})
+        spans = self.ring_spans()
+        tracks = sorted({(span.group, span.track) for span in spans})
         tids = {key: index + 1 for index, key in enumerate(tracks)}
         events: List[Dict[str, Any]] = []
         for (group, track), tid in sorted(tids.items()):
@@ -169,7 +285,7 @@ class TraceRecorder:
                 "name": "thread_name", "ph": "M", "pid": group, "tid": tid,
                 "args": {"name": track},
             })
-        for span in sorted(self.spans, key=TraceSpan.sort_key):
+        for span in sorted(spans, key=SPAN_ORDER):
             args = dict(span.args or {})
             args["start_ns"] = span.start_ns
             args["end_ns"] = span.end_ns
@@ -222,21 +338,18 @@ class TraceRecorder:
     def load(cls, path: str) -> "TraceRecorder":
         """Round-trip a saved trace back into a recorder.
 
-        The single span loader shared by tests and
-        :class:`~repro.trace.TraceQuery`; accepts both this exporter's
-        files and any Chrome JSON (object-with-``traceEvents`` or bare
-        event array).
+        Reads the file as :class:`~repro.trace.TraceQuery.from_file` does
+        (:func:`read_trace`, :func:`events_to_spans`): this exporter's
+        files and any Chrome JSON load, and anything else raises
+        :class:`ValueError` naming the file.
         """
-        with open(path) as handle:
-            payload = json.load(handle)
-        events = payload if isinstance(payload, list) \
-            else payload.get("traceEvents", [])
+        _payload, events = read_trace(path)
         recorder = cls()
-        recorder.spans = events_to_spans(events)
+        recorder.spans = events_to_spans(events, source=str(path))
         return recorder
 
     def summary(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        for span in self.spans:
+        for span in self.ring_spans():
             out[span.category] = out.get(span.category, 0) + 1
         return out

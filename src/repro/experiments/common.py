@@ -159,9 +159,9 @@ def _sequential_period(system: SystemConfig,
 
 
 def _rotate_records(topo: RingTopology, unrotated_labels=()) -> None:
-    """Copy a one-period run's registry and trace records out to the
-    ring ranks it did not simulate (:func:`~repro.obs.rotation.rotate_out`),
-    so they hold what the full ring records."""
+    """Give the ring ranks a one-period run did not simulate its registry
+    and trace records (:func:`~repro.obs.rotation.rotate_out`), so both
+    present what the full ring records."""
     if topo.n_simulated < topo.n_gpus:
         rotate_out(topo.n_gpus, topo.n_simulated, topo.env.obs,
                    topo.env.trace, unrotated_labels)
@@ -265,7 +265,7 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
     are not cacheable, so profiled suites must bypass the sweep cache
     (see ``repro.experiments.profile``).  Recording is passive: the
     returned suite is identical with or without a sink.  A run of one
-    rotation period of the ring copies its records out to the ranks it
+    rotation period of the ring copies its scopes out to the ranks it
     did not simulate (:func:`~repro.obs.rotation.rotate_out`), so each
     registry holds what the full ring records.
 
@@ -281,8 +281,10 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
     :class:`~repro.analysis.trace.TraceRecorder` (``record_dram=True``)
     attached, stored under the configuration name.  Like registries,
     recorders are per-run state — traced suites must bypass the sweep
-    cache — and cover every rank; copied spans follow the simulated
-    ranks' in ``recorder.spans``.
+    cache — and cover every rank: on a one-period run
+    ``recorder.spans`` holds the simulated ranks' spans, and
+    ``recorder.ring_spans()``, ``len``, ``save`` and
+    :meth:`~repro.trace.TraceQuery.from_recorder` present the ring.
     """
     wanted = configs or list(KNOWN_CONFIG_NAMES)
     unknown = [name for name in wanted if name not in KNOWN_CONFIG_NAMES]

@@ -86,7 +86,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not path.exists():
         print(f"error: no such trace file: {path}", file=sys.stderr)
         return 2
-    query = TraceQuery.from_file(str(path))
+    try:
+        query = TraceQuery.from_file(str(path))
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         results = run_passes(query, options.passes)
     except KeyError as error:

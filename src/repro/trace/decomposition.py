@@ -45,6 +45,9 @@ from repro.obs.profiler import (OverlapBreakdown, PlanStageSpan,
                                 plan_stage_attribution, stage_attribution)
 from repro.trace.query import TraceQuery
 
+#: the filter that selects comm-stream DRAM service spans.
+_COMM_DRAM = {"category": "dram", "args": {"stream": "comm"}}
+
 
 def compute_intervals(query: TraceQuery) -> List[iv.Interval]:
     """Machine-level kernel-execution intervals (merged)."""
@@ -53,22 +56,20 @@ def compute_intervals(query: TraceQuery) -> List[iv.Interval]:
 
 def comm_intervals(query: TraceQuery) -> List[iv.Interval]:
     """Machine-level communication intervals: link serialization plus
-    comm-stream DRAM service, mirroring ``obs.profiler.comm_spans``."""
-    spans = [(s.start_ns, s.end_ns) for s in query.select(category="link")]
-    spans.extend(
-        (s.start_ns, s.end_ns)
-        for s in query.select(
-            category="dram",
-            where=lambda s: (s.args or {}).get("stream") == "comm"))
-    return iv.merge(spans)
+    comm-stream DRAM service, mirroring ``obs.profiler.comm_spans``.
+
+    Merging the two merged sets gives the union of all their spans, with
+    the same endpoints; both filters read span times only, so a rotated
+    query answers them from its recorded spans."""
+    return iv.merge(query.intervals(category="link")
+                    + query.intervals(**_COMM_DRAM))
 
 
 def has_dram_spans(query: TraceQuery) -> bool:
-    """True when the trace carries comm-stream DRAM service spans (was
+    """True when the trace carries comm-stream DRAM service time (was
     recorded with ``record_dram=True``) — required for decompositions
     that match the live profiler."""
-    return any((s.args or {}).get("stream") == "comm"
-               for s in query.select(category="dram"))
+    return bool(query.intervals(**_COMM_DRAM))
 
 
 def decompose_query(query: TraceQuery,

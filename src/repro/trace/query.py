@@ -18,17 +18,27 @@ Everything is held in nanoseconds.  Files written by
 ``TraceRecorder.save`` round-trip exactly (the exporter embeds exact ns
 endpoints per event); foreign Chrome traces load through the same
 ``ts``/``dur`` fallback the shared loader implements.
+
+A live recorder that holds one rotation period of its ring
+(:mod:`repro.obs.rotation`) is queried as the whole ring.  Questions
+that read span times only — merged intervals, utilization, bounds,
+categories, groups and the span count, filtered by category, group,
+window or a non-id ``args`` value — are answered from the recorded
+spans: every copy has the times of the span it copies.  The rest build
+the ring's spans once, on first use.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.trace import TraceRecorder, TraceSpan, events_to_spans
+from repro.analysis.trace import (SPAN_ORDER, TraceRecorder, TraceSpan,
+                                  events_to_counters, events_to_spans,
+                                  read_trace)
 from repro.obs import intervals as iv
+from repro.obs.rotation import RELABELLED_ARGS, Ring
 
 #: span categories emitted as instant incident markers.
 INCIDENT_CATEGORIES = ("fault", "resilience")
@@ -122,6 +132,20 @@ class CriticalStep:
         }
 
 
+class _Index:
+    """Spans in timeline order, bucketed by category and by track."""
+
+    __slots__ = ("spans", "by_category", "by_track")
+
+    def __init__(self, spans: Sequence[TraceSpan]):
+        self.spans: List[TraceSpan] = sorted(spans, key=SPAN_ORDER)
+        self.by_category: Dict[str, List[TraceSpan]] = {}
+        self.by_track: Dict[str, List[TraceSpan]] = {}
+        for span in self.spans:
+            self.by_category.setdefault(span.category, []).append(span)
+            self.by_track.setdefault(span.track, []).append(span)
+
+
 class TraceQuery:
     """Indexed query surface over one run's spans + counter tracks.
 
@@ -130,23 +154,35 @@ class TraceQuery:
     ``[(t_ns, value), ...]``; ``registry_snapshot`` holds the aggregate
     :meth:`~repro.obs.MetricsRegistry.snapshot` when one was attached or
     embedded, which the analysis passes that need counters (arbiter
-    deferrals) read.
+    deferrals) read.  ``ring`` (a :class:`~repro.obs.rotation.Ring`)
+    says ``spans`` are one rotation period of it, and the query answers
+    for every rank.
     """
 
     def __init__(self, spans: Sequence[TraceSpan],
                  counters: Optional[Dict[str, List[Tuple[float, float]]]]
                  = None,
                  registry_snapshot: Optional[Dict[str, Any]] = None,
-                 source: str = "<memory>"):
-        self.spans: List[TraceSpan] = sorted(spans, key=TraceSpan.sort_key)
+                 source: str = "<memory>",
+                 ring: Optional[Ring] = None):
         self.counters = counters or {}
         self.registry_snapshot = registry_snapshot
         self.source = source
-        self._by_category: Dict[str, List[TraceSpan]] = {}
-        self._by_track: Dict[str, List[TraceSpan]] = {}
-        for span in self.spans:
-            self._by_category.setdefault(span.category, []).append(span)
-            self._by_track.setdefault(span.track, []).append(span)
+        self._ring = ring
+        #: the recorded spans; on an unrotated query, the ring's too.
+        self._period = _Index(spans)
+        self._full = self._period if ring is None else None
+
+    def _ring_index(self) -> _Index:
+        """Every rank's spans, indexed on first use."""
+        if self._full is None:
+            self._full = _Index(self._ring.spans(self._period.spans))
+        return self._full
+
+    @property
+    def spans(self) -> List[TraceSpan]:
+        """Every span, in timeline order."""
+        return self._ring_index().spans
 
     # -- constructors ---------------------------------------------------------
 
@@ -170,30 +206,18 @@ class TraceQuery:
                         counters[f"{prefix}.{scope.component}.{name}"] = \
                             list(zip(series.times, series.values))
             snapshot = registry.snapshot()
-        return cls(list(recorder.spans), counters, snapshot,
-                   source="<live>")
+        return cls(recorder.spans, counters, snapshot, source="<live>",
+                   ring=recorder.ring)
 
     @classmethod
     def from_file(cls, path: str) -> "TraceQuery":
-        """Load a saved Chrome/Perfetto JSON (ours or foreign)."""
-        with open(path) as handle:
-            payload = json.load(handle)
-        events = payload if isinstance(payload, list) \
-            else payload.get("traceEvents", [])
-        counters: Dict[str, List[Tuple[float, float]]] = {}
-        for event in events:
-            if event.get("ph") != "C":
-                continue
-            args = event.get("args") or {}
-            t_ns = args.get("t_ns")
-            if t_ns is None:
-                t_ns = float(event.get("ts", 0.0)) * 1e3
-            counters.setdefault(str(event.get("name", "")), []).append(
-                (float(t_ns), float(args.get("value", 0.0))))
-        snapshot = None
-        if isinstance(payload, dict):
-            snapshot = payload.get("t3", {}).get("registry")
-        return cls(events_to_spans(events), counters, snapshot,
+        """Load a saved Chrome/Perfetto JSON (ours or foreign); a file
+        that is not one raises :class:`ValueError` naming it and, for a
+        bad event, the event's index."""
+        payload, events = read_trace(path)
+        spans = events_to_spans(events, source=str(path))
+        counters = events_to_counters(events, source=str(path))
+        return cls(spans, counters, payload.get("t3", {}).get("registry"),
                    source=str(path))
 
     @classmethod
@@ -203,18 +227,20 @@ class TraceQuery:
     # -- basic introspection --------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.spans)
+        repeats = 1 if self._ring is None else self._ring.repeats
+        return len(self._period.spans) * repeats
 
     def categories(self) -> List[str]:
-        return sorted(self._by_category)
+        return sorted(self._period.by_category)
 
     def tracks(self, group: Optional[str] = None) -> List[str]:
+        index = self._ring_index()
         if group is None:
-            return sorted(self._by_track)
-        return sorted({s.track for s in self.spans if s.group == group})
+            return sorted(index.by_track)
+        return sorted({s.track for s in index.spans if s.group == group})
 
     def groups(self) -> List[str]:
-        return sorted({s.group for s in self.spans})
+        return sorted({s.group for s in self._period.spans})
 
     def counter_tracks(self) -> List[str]:
         return sorted(self.counters)
@@ -222,9 +248,10 @@ class TraceQuery:
     def bounds(self) -> Tuple[float, float]:
         """(first, last) timestamp over spans *and* counter samples."""
         lo, hi = float("inf"), float("-inf")
-        if self.spans:
-            lo = min(lo, min(s.start_ns for s in self.spans))
-            hi = max(hi, max(s.end_ns for s in self.spans))
+        spans = self._period.spans
+        if spans:
+            lo = min(lo, min(s.start_ns for s in spans))
+            hi = max(hi, max(s.end_ns for s in spans))
         for samples in self.counters.values():
             if samples:
                 lo = min(lo, samples[0][0])
@@ -245,55 +272,44 @@ class TraceQuery:
                window: Optional[Tuple[float, float]] = None,
                name_contains: Optional[str] = None,
                where: Optional[Callable[[TraceSpan], bool]] = None,
+               args: Optional[Dict[str, Any]] = None,
                ) -> List[TraceSpan]:
         """Spans matching every given filter, in timeline order.
 
         ``window=(lo, hi)`` keeps spans *overlapping* the window (an
-        instant at ``lo`` counts).  ``where`` is an arbitrary predicate,
-        e.g. ``lambda s: (s.args or {}).get("chunk") == 3``.
+        instant at ``lo`` counts).  ``args={key: value, ...}`` keeps
+        spans whose args hold every key with an equal value.  ``where`` is
+        an arbitrary predicate, e.g.
+        ``lambda s: (s.args or {}).get("chunk") == 3``.
         """
-        if category is not None:
-            pool: Sequence[TraceSpan] = self._by_category.get(category, [])
-        elif track is not None:
-            pool = self._by_track.get(track, [])
-        else:
-            pool = self.spans
-        out: List[TraceSpan] = []
-        for span in pool:
-            if track is not None and span.track != track:
-                continue
-            if group is not None and span.group != group:
-                continue
-            if name_contains is not None and name_contains not in span.name:
-                continue
-            if window is not None:
-                lo, hi = window
-                inside = (span.start_ns < hi and span.end_ns > lo) or \
-                    (span.start_ns == span.end_ns
-                     and lo <= span.start_ns <= hi)
-                if not inside:
-                    continue
-            if where is not None and not where(span):
-                continue
-            out.append(span)
-        return out
+        return _select(self._ring_index(), category, track, group, window,
+                       name_contains, where, args)
 
     def intervals(self, **filters) -> List[iv.Interval]:
-        """Merged (sorted, disjoint) busy intervals of a selection."""
+        """Merged (sorted, disjoint) busy intervals of a selection.
+
+        On a rotated query, filters that read no field the ring relabel
+        rewrites (``category``, ``group``, ``window``, ``args`` without
+        an id key) are answered from the recorded spans; ``track``,
+        ``name_contains``, ``where`` and id ``args`` read the ring's.
+        """
+        index = self._ring_index() if _reads_ids(**filters) \
+            else self._period
         return iv.merge((s.start_ns, s.end_ns)
-                        for s in self.select(**filters))
+                        for s in _select(index, **filters))
 
     def incidents(self) -> List[TraceSpan]:
         """Fault/resilience markers, in timeline order."""
         out: List[TraceSpan] = []
+        by_category = self._ring_index().by_category
         for category in INCIDENT_CATEGORIES:
-            out.extend(self._by_category.get(category, []))
-        return sorted(out, key=TraceSpan.sort_key)
+            out.extend(by_category.get(category, []))
+        return sorted(out, key=SPAN_ORDER)
 
     # -- summaries ------------------------------------------------------------
 
     def track_summary(self, track: str) -> TrackSummary:
-        spans = self._by_track.get(track, [])
+        spans = self._ring_index().by_track.get(track, [])
         if not spans:
             raise KeyError(f"no spans on track {track!r}")
         merged = iv.merge((s.start_ns, s.end_ns) for s in spans)
@@ -319,7 +335,7 @@ class TraceQuery:
 
     def gaps(self, track: str) -> List[iv.Interval]:
         """Idle intervals between a track's first and last activity."""
-        spans = self._by_track.get(track, [])
+        spans = self._ring_index().by_track.get(track, [])
         if not spans:
             return []
         merged = iv.merge((s.start_ns, s.end_ns) for s in spans)
@@ -364,9 +380,10 @@ class TraceQuery:
         without ``record_dram`` simply produce empty ``dram`` legs.
         """
         flows: List[ChunkFlow] = []
-        links = self._by_category.get("link", [])
-        dram = self._by_category.get("dram", [])
-        for span in self._by_category.get("dma", []):
+        by_category = self._ring_index().by_category
+        links = by_category.get("link", [])
+        dram = by_category.get("dram", [])
+        for span in by_category.get("dma", []):
             track_match = _DMA_TRACK.match(span.track)
             src = int(track_match.group(1)) if track_match else -1
             args = span.args or {}
@@ -460,6 +477,53 @@ class TraceQuery:
             if step.slack_ns:
                 out["slack"] = out.get("slack", 0.0) + step.slack_ns
         return out
+
+
+def _reads_ids(track=None, name_contains=None, where=None, args=None,
+               **_filters) -> bool:
+    """True when a :meth:`TraceQuery.select` filter reads a span field
+    that :mod:`repro.obs.rotation` relabels on the ring's copies."""
+    return (track is not None or name_contains is not None
+            or where is not None
+            or not RELABELLED_ARGS.isdisjoint(args or ()))
+
+
+def _select(index: _Index, category: Optional[str] = None,
+            track: Optional[str] = None, group: Optional[str] = None,
+            window: Optional[Tuple[float, float]] = None,
+            name_contains: Optional[str] = None,
+            where: Optional[Callable[[TraceSpan], bool]] = None,
+            args: Optional[Dict[str, Any]] = None) -> List[TraceSpan]:
+    """The spans of ``index`` that :meth:`TraceQuery.select`'s filters
+    keep, in timeline order."""
+    if category is not None:
+        pool: Sequence[TraceSpan] = index.by_category.get(category, [])
+    elif track is not None:
+        pool = index.by_track.get(track, [])
+    else:
+        pool = index.spans
+    wanted = None if args is None else args.items()
+    out: List[TraceSpan] = []
+    for span in pool:
+        if track is not None and span.track != track:
+            continue
+        if group is not None and span.group != group:
+            continue
+        if name_contains is not None and name_contains not in span.name:
+            continue
+        if window is not None:
+            lo, hi = window
+            inside = (span.start_ns < hi and span.end_ns > lo) or \
+                (span.start_ns == span.end_ns
+                 and lo <= span.start_ns <= hi)
+            if not inside:
+                continue
+        if wanted is not None and not wanted <= (span.args or {}).items():
+            continue
+        if where is not None and not where(span):
+            continue
+        out.append(span)
+    return out
 
 
 @dataclass

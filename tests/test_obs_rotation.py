@@ -4,9 +4,11 @@ simulate, equal the full ring's.
 A plain sub-layer suite with a registry or trace recorder attached
 simulates one rotation period of its ring and copies each simulated
 rank's records to the ranks that would repeat it
-(:mod:`repro.obs.rotation`).  The full ring (``ring=None``) is the
-oracle: every registry scope field, and the byte-exact saved trace with
-the registry merged in, must match it.
+(:mod:`repro.obs.rotation`): registry scopes at once, trace spans when
+they are read.  The full ring (``ring=None``) is the oracle: every
+registry scope field, the byte-exact saved trace with the registry
+merged in, and every :class:`~repro.trace.TraceQuery` answer must match
+it.
 """
 
 import dataclasses
@@ -21,6 +23,8 @@ from repro.gpu.wavefront import GEMMShape
 from repro.obs import MetricsRegistry
 from repro.obs.rotation import rotate_out
 from repro.t3.configs import config_by_name
+from repro.trace import (PASSES, TraceQuery, attribute_plan_stages_query,
+                         attribute_stages_query, decompose_query)
 
 #: name -> (ranks, (m, n, k), fused rotation period) on 4-CU systems.
 #: Sequential's unchunked GEMM gives it period 1 on both.
@@ -81,6 +85,35 @@ def test_copied_records_equal_the_full_ring(name, config, tmp_path):
         paths.append(tmp_path / f"{label}.json")
         recorder.save(str(paths[-1]), registry=registry)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert _answers(*copied) == _answers(*full)
+
+
+def _chunk_is_one(span):
+    return (span.args or {}).get("chunk") == 1
+
+
+def _answers(registry, recorder):
+    """Every TraceQuery answer over one run."""
+    query = TraceQuery.from_recorder(recorder, registry)
+    return {
+        "len": len(query),
+        "bounds": query.bounds(),
+        "tracks": query.tracks(),
+        "summaries": query.summaries(),
+        "chunk_flows": query.chunk_flows(),
+        "critical_path": query.critical_path(),
+        "decompose": decompose_query(query),
+        "stages": attribute_stages_query(query),
+        "plan-stages": attribute_plan_stages_query(query),
+        "passes": {name: run(query) for name, run in PASSES.items()},
+        # These filters read ids the relabel rewrites, so a rotated query
+        # must answer them from the ring, not from its recorded period.
+        "GPU3": query.intervals(track="GPU3"),
+        "dram-chunk-1": query.intervals(category="dram",
+                                        where=_chunk_is_one),
+        "dram-args-chunk-1": query.intervals(category="dram",
+                                             args={"chunk": 1}),
+    }
 
 
 def test_sequential_period_needs_equal_byte_chunks():
@@ -116,6 +149,38 @@ def test_rotation_rejects_records_it_cannot_relabel():
     with pytest.raises(ValueError, match="not a simulated rank"):
         rotate_out(4, 1, registry=virtual)
 
+    bare_dma = TraceRecorder()
+    bare_dma.span("dma.chunk1->gpu3", "dma", 0.0, 5.0, track="GPU0.dma")
+    with pytest.raises(ValueError, match="'chunk' arg is None"):
+        rotate_out(4, 1, recorder=bare_dma)
+
+    chunkless_dma = TraceRecorder()
+    chunkless_dma.span("dma.chunk1->gpu3", "dma", 0.0, 5.0,
+                       track="GPU0.dma", args={"bytes": 8, "dst": 3})
+    with pytest.raises(ValueError, match="'chunk' arg is None"):
+        rotate_out(4, 1, recorder=chunkless_dma)
+
+    gpuless_policy = TraceRecorder()
+    gpuless_policy.instant("threshold=2", "policy", 1.0,
+                           track="gpu0.policy", group="policy")
+    with pytest.raises(ValueError, match="'gpu' arg is None"):
+        rotate_out(4, 1, recorder=gpuless_policy)
+
+    named_chunk = TraceRecorder(record_dram=True)
+    named_chunk.span("rs.update", "dram", 0.0, 5.0, track="gpu0.hbm.ch1",
+                     group="memory", args={"bytes": 8, "chunk": "3"})
+    with pytest.raises(ValueError, match="'chunk' arg is '3'"):
+        rotate_out(4, 1, recorder=named_chunk)
+
+
+def test_a_recorder_rotates_out_once():
+    recorder = TraceRecorder()
+    recorder.span("gemm", "kernel", 0.0, 5.0, track="GPU0")
+    rotate_out(4, 2, recorder=recorder)
+    assert len(recorder) == 2 and len(recorder.spans) == 1
+    with pytest.raises(ValueError, match="already rotated"):
+        rotate_out(4, 2, recorder=recorder)
+
 
 def test_rotation_shifts_ids_round_the_ring():
     """Rank 1 of a 4-rank ring at period 2 becomes rank 3: GPU ids and
@@ -135,7 +200,8 @@ def test_rotation_shifts_ids_round_the_ring():
 
     rotate_out(4, 2, registry, recorder, unrotated_labels=("gemm",))
 
-    copies = recorder.spans[4:]
+    assert len(recorder.spans) == 4 and len(recorder) == 8
+    copies = recorder.ring_spans()[4:]
     assert [(s.name, s.track, s.args) for s in copies] == [
         ("dma.chunk1->gpu2", "GPU3.dma", {"bytes": 8, "chunk": 1, "dst": 2}),
         ("rs.update", "gpu3.hbm.ch5", {"bytes": 8, "chunk": 1}),

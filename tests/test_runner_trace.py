@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.trace import TraceRecorder
 from repro.config import table1_system
@@ -14,6 +15,7 @@ from repro.sim import Environment
 from repro.t3.fusion import FusedGEMMRS
 from repro.trace.cli import main as trace_cli
 from repro.trace.passes import PASSES
+from repro.trace.query import TraceQuery
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,74 @@ def test_tracks_filter_and_window(trace_file, capsys):
 def test_missing_file_is_an_error(capsys):
     assert trace_cli(["/nonexistent/run.trace.json"]) == 2
     assert "no such trace file" in capsys.readouterr().err
+
+
+#: name -> the text of a file that is not a trace.
+_MALFORMED = {
+    "string": '"hello"',
+    "number": "3",
+    "int-events": '{"traceEvents": [1, 2]}',
+    "object-events": '{"traceEvents": {"ph": "X"}}',
+    "span-args-list": '{"traceEvents": [{"ph": "X", "args": [1]}]}',
+    "counter-args-list": '[{"ph": "C", "name": "q", "args": [1, 2]}]',
+    "t3-string": '{"traceEvents": [], "t3": "v1"}',
+    "invalid-json": '{"traceEvents": [',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_trace_files_fail_cleanly(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(_MALFORMED[name])
+    with pytest.raises(ValueError, match=str(path)):
+        TraceQuery.from_file(str(path))
+    with pytest.raises(ValueError, match=str(path)):
+        TraceRecorder.load(str(path))
+    assert trace_cli([str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_a_bad_event_is_named_by_its_index(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('[{"ph": "X", "ts": 1, "dur": 2}, '
+                    '{"ph": "X", "ts": 1, "dur": [2]}]')
+    with pytest.raises(ValueError, match="event 1: dur is \\[2\\]"):
+        TraceQuery.from_file(str(path))
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=3))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(("traceEvents", "t3", "registry", "ph", "args"))
+        | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+#: Chrome events whose every field may be of the wrong JSON type.
+_EVENT = st.fixed_dictionaries(
+    {"ph": st.sampled_from(("X", "i", "C", "M")) | _SCALARS},
+    optional={
+        "name": st.just("thread_name") | _SCALARS,
+        "ts": _SCALARS, "dur": _SCALARS, "pid": _JSON, "tid": _JSON,
+        "args": _JSON | st.dictionaries(
+            st.sampled_from(("start_ns", "end_ns", "t_ns", "value",
+                             "name")), _JSON, max_size=4),
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON | st.lists(_EVENT | _JSON, max_size=4) | st.lists(
+    _EVENT, max_size=4).map(lambda events: {"traceEvents": events}))
+def test_any_json_loads_or_raises_value_error(payload, tmp_path_factory):
+    """Both loaders read any JSON value as a trace or reject it with
+    ValueError; nothing else escapes."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.trace.json"
+    path.write_text(json.dumps(payload))
+    for load in (TraceQuery.from_file, TraceRecorder.load):
+        try:
+            load(str(path))
+        except ValueError:
+            pass
 
 
 def test_unknown_pass_is_an_error(trace_file, capsys):

@@ -112,10 +112,50 @@ def read_trace(path: str) -> Tuple[Dict[str, Any], List[Any]]:
     if not isinstance(header, dict):
         raise ValueError(f"{path}: \"t3\" is {type(header).__name__}, not "
                          "an object")
-    if not isinstance(header.get("registry", {}), (dict, type(None))):
+    _check_registry(header.get("registry"), path)
+    return payload, events
+
+
+#: the fields of a ``ValueStats`` snapshot the analysis passes add up.
+_STATS_FIELDS = ("count", "total", "min", "max")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_registry(snapshot: Any, path: str) -> None:
+    """Reject a registry snapshot the analysis passes cannot read:
+    ``scopes`` is an array of objects, each ``counters`` maps to numbers,
+    and each ``observations`` maps to objects whose ``count``, ``total``,
+    ``min`` and ``max`` are numbers.  A missing snapshot is fine."""
+    if snapshot is None:
+        return
+    if not isinstance(snapshot, dict):
         raise ValueError(f"{path}: the \"t3\" registry snapshot is not an "
                          "object")
-    return payload, events
+    scopes = snapshot.get("scopes", [])
+    if not isinstance(scopes, list):
+        raise ValueError(f"{path}: registry scopes is "
+                         f"{type(scopes).__name__}, not an array")
+    for index, scope in enumerate(scopes):
+        where = f"{path}: registry scope {index}"
+        if not isinstance(scope, dict):
+            raise ValueError(f"{where} is {type(scope).__name__}, not an "
+                             "object")
+        counters = scope.get("counters", {})
+        if not isinstance(counters, dict) \
+                or not all(map(_is_number, counters.values())):
+            raise ValueError(f"{where}: counters must map names to numbers")
+        observations = scope.get("observations", {})
+        if not isinstance(observations, dict) or not all(
+                isinstance(stats, dict)
+                and all(_is_number(stats.get(name))
+                        for name in _STATS_FIELDS)
+                for stats in observations.values()):
+            raise ValueError(
+                f"{where}: observations must map names to objects with "
+                "numeric count, total, min and max")
 
 
 def _event_error(source: str, index: int, problem: str) -> ValueError:

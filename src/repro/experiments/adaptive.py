@@ -45,7 +45,16 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import SystemConfig, table1_system
 from repro.experiments.fault_sweep import SWEEP_SEED
 from repro.experiments.fault_sweep import default_cases as fault_cases
-from repro.experiments.sublayer_sweep import FAST_SCALE, simulate_case
+from repro.experiments.common import (
+    _fresh_topology,
+    _run_fused,
+    scaled_shape,
+)
+from repro.experiments.sublayer_sweep import (
+    FAST_SCALE,
+    save_case_trace,
+    simulate_case,
+)
 from repro.faults import ANY, FaultPlan
 from repro.models import zoo
 from repro.obs import MetricsRegistry
@@ -266,9 +275,6 @@ def _sublayer_suite(result: AdaptiveResult, name: str, cases, scale: int,
 def _hierarchical_suite(result: AdaptiveResult, fast: bool,
                         progress=None) -> None:
     """The scale-out 2-node fused run, once per policy."""
-    from repro.experiments.common import scaled_shape
-    from repro.experiments.scaleout import _run_fused
-
     sub = zoo.t_nlg().sublayer("FC-2", 8)
     shape = scaled_shape(sub.gemm, 16 if fast else 1)
     if progress is not None:
@@ -276,8 +282,10 @@ def _hierarchical_suite(result: AdaptiveResult, fast: bool,
     measures = {}
     for kind in POLICY_KINDS:
         registry = MetricsRegistry()
-        _fused, duration = _run_fused(_system(8, kind), shape,
-                                      gpus_per_node=4, registry=registry)
+        _fused, duration = _run_fused(
+            _fresh_topology(_system(8, kind), "mca", check_invariants=True,
+                            obs=registry, gpus_per_node=4),
+            shape, calibrate_mca=True, all_gather=False)
         breakdown = decompose(registry, total_ns=duration)
         measures[kind] = PolicyMeasure(
             total_ns=duration, exposed_ns=breakdown.exposed_ns,
@@ -285,21 +293,6 @@ def _hierarchical_suite(result: AdaptiveResult, fast: bool,
     result.cases.append(PolicyCase(
         suite="hierarchical", label=f"{sub.label} 2x4",
         static=measures["static"], adaptive=measures["adaptive"]))
-
-
-def _save_trace(fast: bool, trace_out: str) -> None:
-    """Re-run the first straggler case under the adaptive policy with a
-    trace recorder attached; the saved trace carries the per-decision
-    policy instants plus the registry snapshot the ``policy-decisions``
-    analysis pass joins them against."""
-    sub = fault_cases()[0]
-    trace_sink: dict = {}
-    obs_sink: dict = {}
-    simulate_case(sub, FAST_SCALE if fast else 1,
-                  _system(sub.tp, "adaptive"), configs=list(CONFIGS),
-                  faults=_plan_for("straggler"), check_invariants=True,
-                  obs_sink=obs_sink, trace_sink=trace_sink)
-    trace_sink["T3-MCA"].save(trace_out, registry=obs_sink["T3-MCA"])
 
 
 def quick_policy_point(fast: bool = True) -> AdaptiveResult:
@@ -325,5 +318,10 @@ def run(fast: bool = True, trace_out: Optional[str] = None,
     _sublayer_suite(result, "mixed", zoo.megatron_gpt2().ar_sublayers(8),
                     scale, progress=progress)
     if trace_out is not None:
-        _save_trace(fast, trace_out)
+        # The first straggler case under the adaptive policy: its trace
+        # carries the per-decision policy instants the registry's
+        # ``policy-decisions`` pass joins against.
+        sub = fault_cases()[0]
+        save_case_trace(sub, scale, _system(sub.tp, "adaptive"),
+                        _plan_for("straggler"), trace_out)
     return result

@@ -34,22 +34,15 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.collectives.baseline import PlannedReduceScatter
 from repro.config import SystemConfig, table1_system
+from repro.experiments.common import _fresh_topology, _run_sequential
 from repro.faults import (
-    FaultInjector,
     FaultPlan,
-    InvariantChecker,
     InvariantViolation,
     LinkDegradation,
     TrackerPressure,
 )
-from repro.gpu.gemm import run_plain_gemms
 from repro.gpu.wavefront import GEMMShape
-from repro.interconnect.topology import (
-    HierarchicalRingTopology,
-    RingTopology,
-)
 from repro.resilience import (
     LadderRung,
     RepairResult,
@@ -58,7 +51,6 @@ from repro.resilience import (
     ScenarioLadder,
     repair_for_diagnosis,
 )
-from repro.sim import Environment
 from repro.sim.engine import SimulationError
 from repro.t3.fusion import FusedGEMMRS
 
@@ -231,44 +223,17 @@ class Attempt:
         return self.ok and not self.invariant_violation
 
 
-def _build_env(spec: TopologySpec, system: SystemConfig, mc_policy: str,
-               plan: FaultPlan,
-               resilience: Optional[ResiliencePolicy],
-               check_invariants: bool = True,
-               trace=None, obs=None):
-    """Fresh environment + topology for one run.  The resilience runtime
-    attaches *before* the topology wires so statically-degraded links are
-    reported to its fault-observed feed."""
-    env = Environment()
-    env.configure_watchdog(max_events=WATCHDOG_EVENTS)
-    if trace is not None:
-        env.trace = trace
-    if obs is not None:
-        env.obs = obs
-    env.faults = FaultInjector(plan)
-    env.faults.bind_env(env)
-    if obs is not None:
-        env.faults.bind_obs(obs)
-    if check_invariants:
-        env.invariants = InvariantChecker(env)
-    runtime = (ResilienceRuntime(resilience).attach(env)
-               if resilience is not None else None)
-    if spec.gpus_per_node:
-        topo = HierarchicalRingTopology(env, system, spec.gpus_per_node,
-                                        policy_name=mc_policy)
-    else:
-        topo = RingTopology(env, system, policy_name=mc_policy)
-    return env, topo, runtime
-
-
 def _attempt_fused(scenario: ChaosScenario, system: SystemConfig,
                    resilience: Optional[ResiliencePolicy],
                    plan_override=None, trace=None, obs=None) -> Attempt:
     """One fused GEMM-RS run; failures come back diagnosed, not raised."""
     mca = scenario.scheduler == "T3-MCA"
-    env, topo, runtime = _build_env(
-        scenario.topology, system, "mca" if mca else "compute-priority",
-        scenario.plan, resilience, trace=trace, obs=obs)
+    topo = _fresh_topology(
+        system, "mca" if mca else "compute-priority", faults=scenario.plan,
+        check_invariants=True, obs=obs, resilience=resilience, trace=trace,
+        gpus_per_node=scenario.topology.gpus_per_node,
+        watchdog_events=WATCHDOG_EVENTS)
+    runtime = topo.env.resilience
     collective_plan = None
     try:
         fused = FusedGEMMRS(topo, CHAOS_SHAPE, calibrate_mca=mca,
@@ -282,28 +247,11 @@ def _attempt_fused(scenario: ChaosScenario, system: SystemConfig,
     attempt = Attempt(ok=True, duration=result.duration, runtime=runtime,
                       plan=collective_plan)
     try:
-        env.invariants.check_all()
+        topo.env.invariants.check_all()
     except InvariantViolation as exc:
         attempt.invariant_violation = True
         attempt.error = str(exc)
     return attempt
-
-
-def _plan_driven_time(scenario: ChaosScenario,
-                      system: SystemConfig) -> float:
-    """Sequential GEMM + plan-driven reduce-scatter on the same faulty
-    machine — both the FALLBACK rung and the retained-speedup reference.
-    Runs in a fresh environment (no armed deadline timers, no DMA
-    engines for the faults to kill)."""
-    env, topo, _ = _build_env(scenario.topology, system,
-                              "compute-priority", scenario.plan,
-                              resilience=None)
-    gemm_time = run_plain_gemms(topo, CHAOS_SHAPE)
-    rs = PlannedReduceScatter(topo, CHAOS_SHAPE.output_bytes)
-    rs_time = rs.run().duration
-    if env.invariants is not None:
-        env.invariants.check_all()
-    return gemm_time + rs_time
 
 
 @dataclass
@@ -355,9 +303,17 @@ def run_scenario(scenario: ChaosScenario,
     """Baseline, resilient ladder walk and Sequential reference for one
     scenario."""
     baseline = _attempt_fused(scenario, system, resilience=None)
+    # Sequential GEMM + plan-driven reduce-scatter on the same faulty
+    # machine: both the FALLBACK rung and the retained-speedup reference.
+    # It runs in a fresh environment: no armed deadline timers, no DMA
+    # engines for the faults to kill.
     try:
-        sequential_time: Optional[float] = _plan_driven_time(scenario,
-                                                             system)
+        gemm_time, rs_time, _ = _run_sequential(_fresh_topology(
+            system, "compute-priority", faults=scenario.plan,
+            check_invariants=True,
+            gpus_per_node=scenario.topology.gpus_per_node,
+            watchdog_events=WATCHDOG_EVENTS), CHAOS_SHAPE, all_gather=False)
+        sequential_time: Optional[float] = gemm_time + rs_time
     except (SimulationError, RuntimeError):
         sequential_time = None
 

@@ -22,19 +22,24 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.traffic import DramBreakdown, collect_breakdown
-from repro.collectives.baseline import RingAllGather, RingReduceScatter
+from repro.collectives.baseline import PlannedReduceScatter, RingAllGather
 from repro.collectives.api import rs_with_nmc_time
 from repro.collectives.plan import ring_reduce_scatter_plan, rotation_period
 from repro.config import SystemConfig
 from repro.faults import FaultInjector, FaultPlan, InvariantChecker
 from repro.gpu.gemm import run_plain_gemms
 from repro.gpu.wavefront import GEMMShape, TileGrid
-from repro.interconnect.topology import PeriodicRingTopology, RingTopology
+from repro.interconnect.topology import (
+    HierarchicalRingTopology,
+    PeriodicRingTopology,
+    RingTopology,
+)
 from repro.models.transformer import SubLayer
 from repro.models import zoo
 from repro.obs.rotation import rotate_out
+from repro.resilience import ResiliencePolicy, ResilienceRuntime
 from repro.sim import Environment
-from repro.t3.configs import CONFIGS, RunConfig, config_by_name
+from repro.t3.configs import CONFIGS, config_by_name
 from repro.t3.fusion import FusedGEMMRS
 
 #: every configuration name ``run_sublayer_suite`` understands, in the
@@ -121,21 +126,6 @@ def scaled_shape(shape: GEMMShape, scale: int, min_m: int = 256) -> GEMMShape:
     return dataclasses.replace(shape, m=min(new_m, shape.m))
 
 
-def _attach_resilience(env: Environment, resilience) -> None:
-    """Attach a :class:`~repro.resilience.ResilienceRuntime` when asked.
-
-    ``resilience`` is falsy (off), ``True`` (default policy) or a
-    :class:`~repro.resilience.ResiliencePolicy`.  Attaching before the
-    topology wires matters: static link degradation is recorded at wiring
-    time and must reach the runtime's fault-observed feed.
-    """
-    if not resilience:
-        return
-    from repro.resilience import ResiliencePolicy, ResilienceRuntime
-    policy = resilience if isinstance(resilience, ResiliencePolicy) else None
-    ResilienceRuntime(policy).attach(env)
-
-
 def _ring_period(system: SystemConfig,
                  shape: GEMMShape) -> Optional[Tuple[int, int]]:
     """``(period, WGs per chunk)`` of the fused runs' ring on ``shape`` when
@@ -158,15 +148,6 @@ def _sequential_period(system: SystemConfig,
     return (1, 1) if shape.output_bytes % system.n_gpus == 0 else None
 
 
-def _rotate_records(topo: RingTopology, unrotated_labels=()) -> None:
-    """Give the ring ranks a one-period run did not simulate its registry
-    and trace records (:func:`~repro.obs.rotation.rotate_out`), so both
-    present what the full ring records."""
-    if topo.n_simulated < topo.n_gpus:
-        rotate_out(topo.n_gpus, topo.n_simulated, topo.env.obs,
-                   topo.env.trace, unrotated_labels)
-
-
 def _fresh_topology(system: SystemConfig, policy: str,
                     record_traffic: bool = False,
                     faults: Optional[FaultPlan] = None,
@@ -175,10 +156,30 @@ def _fresh_topology(system: SystemConfig, policy: str,
                     resilience=None,
                     trace=None,
                     ring: Optional[Tuple[int, int]] = None,
-                    ) -> Tuple[Environment, RingTopology]:
-    """A fresh environment and ring with the given attachments; ``ring``
-    (from :func:`_ring_period`) simulates one rotation period of it."""
+                    gpus_per_node: Optional[int] = None,
+                    watchdog_events: Optional[int] = None,
+                    ) -> RingTopology:
+    """A fresh environment and ring with the given attachments; the
+    environment is the returned topology's ``env``.
+
+    ``resilience`` is falsy (off), ``True`` (default policy) or a
+    :class:`~repro.resilience.ResiliencePolicy`; its runtime
+    (``env.resilience``) attaches before the topology wires, so static
+    link degradation reaches its fault-observed feed.  A
+    ``gpus_per_node`` below ``system.n_gpus`` groups the ring into nodes
+    (:class:`HierarchicalRingTopology`), and ``watchdog_events`` bounds
+    the run's engine events.
+
+    ``ring`` (from :func:`_ring_period`) asks for one rotation period of
+    the ring.  It is honoured only when nothing that tells ranks apart is
+    attached: a fault plan, the invariant checker, the resilience
+    runtime, traffic recording, an adaptive or logged policy, or nodes.
+    Those runs keep every rank, the oracle the one-period run is checked
+    against.
+    """
     env = Environment()
+    if watchdog_events is not None:
+        env.configure_watchdog(max_events=watchdog_events)
     if obs is not None:
         env.obs = obs
     if trace is not None:
@@ -190,54 +191,62 @@ def _fresh_topology(system: SystemConfig, policy: str,
             env.faults.bind_obs(obs)
     if check_invariants:
         env.invariants = InvariantChecker(env)
-    _attach_resilience(env, resilience)
+    if resilience:
+        ResilienceRuntime(resilience if isinstance(
+            resilience, ResiliencePolicy) else None).attach(env)
     if record_traffic:
         system = system.with_fidelity(record_traffic=True)
-    if ring is not None:
-        return env, PeriodicRingTopology(env, system, *ring,
-                                         policy_name=policy)
-    return env, RingTopology(env, system, policy_name=policy)
+    if gpus_per_node not in (None, system.n_gpus):
+        return HierarchicalRingTopology(env, system,
+                                        gpus_per_node=gpus_per_node,
+                                        policy_name=policy)
+    symmetric = (faults is None and not check_invariants and not resilience
+                 and not record_traffic and system.policy.kind == "static"
+                 and not system.policy.record_decisions)
+    if ring is not None and symmetric:
+        return PeriodicRingTopology(env, system, *ring, policy_name=policy)
+    return RingTopology(env, system, policy_name=policy)
 
 
-def _run_sequential(system: SystemConfig, shape: GEMMShape,
-                    record_traffic: bool = False,
-                    faults: Optional[FaultPlan] = None,
-                    check_invariants: bool = False,
-                    obs=None, resilience=None, trace=None, ring=None):
-    """GEMM on all GPUs, then ring-RS, then ring-AG; returns parts."""
-    env, topo = _fresh_topology(system, "compute-priority", record_traffic,
-                                faults, check_invariants, obs, resilience,
-                                trace, ring)
+def _finish(topo: RingTopology, unrotated_labels=()) -> None:
+    """Check the run's invariants, then give the ring ranks a one-period
+    run did not simulate its registry and trace records
+    (:func:`~repro.obs.rotation.rotate_out`), so both present what the
+    full ring records."""
+    env = topo.env
+    if env.invariants is not None:
+        env.invariants.check_all()
+    if topo.n_simulated < topo.n_gpus:
+        rotate_out(topo.n_gpus, topo.n_simulated, env.obs, env.trace,
+                   unrotated_labels)
+
+
+def _run_sequential(topo: RingTopology, shape: GEMMShape,
+                    all_gather: bool = True
+                    ) -> Tuple[float, float, float]:
+    """GEMM on every GPU, then the plan-driven reduce-scatter (the
+    two-phase plan on nodes), then the ring all-gather unless
+    ``all_gather`` is off; returns the GEMM, RS and AG times (AG 0.0
+    when skipped)."""
     gemm_time = run_plain_gemms(topo, shape)
-    rs = RingReduceScatter(topo, nbytes_total=shape.output_bytes)
-    rs_time = rs.run().duration
-    ag = RingAllGather(topo, nbytes_total=shape.output_bytes)
-    ag_time = ag.run().duration
-    if env.invariants is not None:
-        env.invariants.check_all()
+    rs_time = PlannedReduceScatter(topo, shape.output_bytes).run().duration
+    ag_time = (RingAllGather(topo, shape.output_bytes).run().duration
+               if all_gather else 0.0)
     # The plain GEMM's one-chunk grid writes "chunk 0" on every rank.
-    _rotate_records(topo, unrotated_labels=("gemm",))
-    return topo, gemm_time, rs_time, ag_time
+    _finish(topo, unrotated_labels=("gemm",))
+    return gemm_time, rs_time, ag_time
 
 
-def _run_fused(system: SystemConfig, shape: GEMMShape, config: RunConfig,
-               record_traffic: bool = False,
-               faults: Optional[FaultPlan] = None,
-               check_invariants: bool = False,
-               obs=None, resilience=None, trace=None, ring=None):
-    env, topo = _fresh_topology(system, config.mc_policy, record_traffic,
-                                faults, check_invariants, obs, resilience,
-                                trace, ring)
-    fused = FusedGEMMRS(topo, shape,
-                        calibrate_mca=(config.mc_policy == "mca"))
-    fused_result = fused.run()
-    ag = RingAllGather(topo, nbytes_total=shape.output_bytes)
-    ag_time = ag.run().duration
-    if env.invariants is not None:
-        env.invariants.check_all()
-    _rotate_records(topo)
-    total = fused_result.duration + ag_time
-    return topo, fused, total
+def _run_fused(topo: RingTopology, shape: GEMMShape, calibrate_mca: bool,
+               all_gather: bool = True) -> Tuple[FusedGEMMRS, float]:
+    """The fused GEMM-RS, then the ring all-gather unless ``all_gather``
+    is off; returns the fused kernel and the total time."""
+    fused = FusedGEMMRS(topo, shape, calibrate_mca=calibrate_mca)
+    total = fused.run().duration
+    if all_gather:
+        total += RingAllGather(topo, shape.output_bytes).run().duration
+    _finish(topo)
+    return fused, total
 
 
 def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
@@ -293,51 +302,44 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
             f"unknown configuration name(s) {unknown!r}; choose from "
             f"{list(KNOWN_CONFIG_NAMES)}")
 
-    def _registry(name: str):
-        if obs_sink is None:
-            return None
-        from repro.obs import MetricsRegistry
-        obs_sink[name] = MetricsRegistry()
-        return obs_sink[name]
-
-    def _trace(name: str):
-        if trace_sink is None:
-            return None
-        from repro.analysis.trace import TraceRecorder
-        trace_sink[name] = TraceRecorder(record_dram=True)
-        return trace_sink[name]
+    def _topology(name: str, policy: str, ring):
+        """A fresh machine for configuration ``name``, with its own
+        registry and recorder stored into the sinks."""
+        obs = trace = None
+        if obs_sink is not None:
+            from repro.obs import MetricsRegistry
+            obs = obs_sink[name] = MetricsRegistry()
+        if trace_sink is not None:
+            from repro.analysis.trace import TraceRecorder
+            trace = trace_sink[name] = TraceRecorder(record_dram=True)
+        return _fresh_topology(system, policy, record_traffic, faults,
+                               check_invariants, obs=obs,
+                               resilience=resilience, trace=trace,
+                               ring=ring)
 
     suite = SublayerSuite(label=label or shape.name, shape=shape,
                           system=system)
-    # A rank-symmetric case simulates one rotation period of the ring:
-    # the other ranks would repeat those with chunk ids shifted, so every
+    # A rank-symmetric case asks for one rotation period of the ring: the
+    # other ranks would repeat those with chunk ids shifted, so every
     # time and per-GPU average is unchanged, and registry and trace
-    # records are copied out to them.  Faults, invariant checks,
-    # resilience, traffic recording and adaptive or logged policies
-    # keep the full ring, the oracle the copies are checked against.
-    plain = (faults is None and not check_invariants and not resilience
-             and not record_traffic and system.policy.kind == "static"
-             and not system.policy.record_decisions)
-    ring = _ring_period(system, shape) if plain else None
-
-    topo, gemm_t, rs_t, ag_t = _run_sequential(
-        system, shape, record_traffic, faults, check_invariants,
-        obs=_registry("Sequential"), resilience=resilience,
-        trace=_trace("Sequential"),
-        ring=_sequential_period(system, shape) if plain else None)
+    # records are copied out to them.  ``_fresh_topology`` keeps the
+    # full ring when an attachment tells ranks apart.
+    topo = _topology("Sequential", "compute-priority",
+                     _sequential_period(system, shape))
+    gemm_t, rs_t, ag_t = _run_sequential(topo, shape)
     suite.gemm_time, suite.rs_time, suite.ag_time = gemm_t, rs_t, ag_t
     suite.times["Sequential"] = gemm_t + rs_t + ag_t
     suite.traffic["Sequential"] = collect_breakdown(topo.gpus)
 
+    ring = _ring_period(system, shape)
     for name in ("T3", "T3-MCA"):
         if name not in wanted:
             continue
-        topo_f, _fused, total = _run_fused(
-            system, shape, config_by_name(name), record_traffic,
-            faults, check_invariants, obs=_registry(name),
-            resilience=resilience, trace=_trace(name), ring=ring)
-        suite.times[name] = total
-        suite.traffic[name] = collect_breakdown(topo_f.gpus)
+        policy = config_by_name(name).mc_policy
+        topo = _topology(name, policy, ring)
+        _fused, suite.times[name] = _run_fused(topo, shape,
+                                               policy == "mca")
+        suite.traffic[name] = collect_breakdown(topo.gpus)
 
     if "Ideal-GEMM-RS-Overlap" in wanted:
         suite.times["Ideal-GEMM-RS-Overlap"] = max(gemm_t, rs_t) + ag_t

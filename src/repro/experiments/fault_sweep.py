@@ -25,7 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.sublayer_sweep import run_sweep
+from repro.config import table1_system
+from repro.experiments.sublayer_sweep import (
+    FAST_SCALE,
+    run_sweep,
+    save_case_trace,
+)
 from repro.faults import ANY, FaultPlan
 from repro.models import zoo
 from repro.models.transformer import SubLayer
@@ -143,21 +148,6 @@ def _plan_for(kind: str, severity: float) -> Optional[FaultPlan]:
                                    seed=SWEEP_SEED)
 
 
-def _save_trace(sub: SubLayer, fast: bool, kind: str, severity: float,
-                trace_out: str) -> None:
-    """Re-simulate one faulty case off the cache path with trace + obs
-    attached, and save the T3-MCA run's decomposition-grade trace."""
-    from repro.experiments.sublayer_sweep import FAST_SCALE, simulate_case
-    from repro.config import table1_system
-    trace_sink: dict = {}
-    obs_sink: dict = {}
-    simulate_case(sub, FAST_SCALE if fast else 1,
-                  table1_system(n_gpus=sub.tp), configs=list(CONFIGS),
-                  faults=_plan_for(kind, severity), check_invariants=True,
-                  obs_sink=obs_sink, trace_sink=trace_sink)
-    trace_sink["T3-MCA"].save(trace_out, registry=obs_sink["T3-MCA"])
-
-
 def run(fast: bool = True, jobs: Optional[int] = None,
         cases: Optional[Sequence[SubLayer]] = None,
         straggler_factors: Sequence[float] = STRAGGLER_FACTORS,
@@ -182,6 +172,9 @@ def run(fast: bool = True, jobs: Optional[int] = None,
                     sequential_time=suite.times["Sequential"],
                     t3_time=suite.times["T3-MCA"]))
     if trace_out is not None and selected:
-        _save_trace(selected[0], fast, "straggler",
-                    list(straggler_factors)[-1], trace_out)
+        sub = selected[0]
+        save_case_trace(sub, FAST_SCALE if fast else 1,
+                        table1_system(n_gpus=sub.tp),
+                        _plan_for("straggler", list(straggler_factors)[-1]),
+                        trace_out)
     return result

@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.config import table1_system
-from repro.experiments.common import _run_fused, _run_sequential
+from repro.experiments.common import (
+    _fresh_topology,
+    _run_fused,
+    _run_sequential,
+)
 from repro.models import zoo
 from repro.t3.configs import config_by_name
 
@@ -96,8 +100,9 @@ def run(fast: bool = True) -> Figure17Result:
     shape = dataclasses.replace(sub.gemm, m=2048 if fast else 4096)
     system = table1_system(n_gpus=8)
 
-    topo_base, gemm_t, _rs_t, _ag_t = _run_sequential(
-        system, shape, record_traffic=True)
+    topo_base = _fresh_topology(system, "compute-priority",
+                                record_traffic=True)
+    gemm_t, _rs_t, _ag_t = _run_sequential(topo_base, shape)
     mc_base = topo_base.gpus[0].mc
     baseline = {
         "GEMM reads": _binned(mc_base, ["gemm.read"], 0, gemm_t, "GEMM reads"),
@@ -105,8 +110,9 @@ def run(fast: bool = True) -> Figure17Result:
                                "GEMM writes"),
     }
 
-    topo_t3, fused, _total = _run_fused(
-        system, shape, config_by_name("T3"), record_traffic=True)
+    topo_t3 = _fresh_topology(system, config_by_name("T3").mc_policy,
+                              record_traffic=True)
+    fused, _total = _run_fused(topo_t3, shape, calibrate_mca=False)
     mc_t3 = topo_t3.gpus[0].mc
     t3_gemm_t = max(r.duration for r in fused.result.gemm_results)
     window = fused.result.end

@@ -30,22 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.collectives.baseline import PlannedReduceScatter
-from repro.config import SystemConfig, table1_system
-from repro.experiments.common import scaled_shape
-from repro.faults import InvariantChecker
-from repro.gpu.gemm import run_plain_gemms
-from repro.gpu.wavefront import GEMMShape
-from repro.interconnect.topology import (
-    HierarchicalRingTopology,
-    RingTopology,
-    Topology,
+from repro.config import table1_system
+from repro.experiments.common import (
+    _fresh_topology,
+    _run_fused,
+    _run_sequential,
+    scaled_shape,
 )
 from repro.models import zoo
 from repro.obs import MetricsRegistry
 from repro.obs.profiler import PlanStageSpan, attribute_plan_stages
-from repro.sim import Environment
-from repro.t3.fusion import FusedGEMMRS
 
 
 @dataclass
@@ -108,44 +102,6 @@ class ScaleoutResult:
         return "\n".join(lines)
 
 
-def _make_topology(env: Environment, system: SystemConfig,
-                   gpus_per_node: int, policy: str) -> Topology:
-    if gpus_per_node == system.n_gpus:
-        return RingTopology(env, system, policy_name=policy)
-    return HierarchicalRingTopology(env, system,
-                                    gpus_per_node=gpus_per_node,
-                                    policy_name=policy)
-
-
-def _run_sequential(system: SystemConfig, shape: GEMMShape,
-                    gpus_per_node: int) -> float:
-    """Co-simulated GEMM on every rank, then the plan-driven CU RS."""
-    env = Environment()
-    env.invariants = InvariantChecker(env)
-    topo = _make_topology(env, system, gpus_per_node, "compute-priority")
-    gemm_time = run_plain_gemms(topo, shape)
-    rs = PlannedReduceScatter(topo, nbytes_total=shape.output_bytes)
-    rs_time = rs.run().duration
-    env.invariants.check_all()
-    return gemm_time + rs_time
-
-
-def _run_fused(system: SystemConfig, shape: GEMMShape, gpus_per_node: int,
-               registry: Optional[MetricsRegistry] = None,
-               trace=None):
-    env = Environment()
-    if registry is not None:
-        env.obs = registry
-    if trace is not None:
-        env.trace = trace
-    env.invariants = InvariantChecker(env)
-    topo = _make_topology(env, system, gpus_per_node, "mca")
-    fused = FusedGEMMRS(topo, shape, calibrate_mca=True)
-    result = fused.run()
-    env.invariants.check_all()
-    return fused, result.duration
-
-
 def run(fast: bool = True,
         trace_out: Optional[str] = None) -> ScaleoutResult:
     """Compare single-node vs two-node fused T3 on one sub-layer GEMM.
@@ -165,18 +121,24 @@ def run(fast: bool = True,
     )
     rows: List[ScaleoutRow] = []
     for label, n_nodes, per in cases:
-        sequential = _run_sequential(system, shape, per)
+        gemm_time, rs_time, _ = _run_sequential(
+            _fresh_topology(system, "compute-priority",
+                            check_invariants=True, gpus_per_node=per),
+            shape, all_gather=False)
         registry = MetricsRegistry()
         trace = None
         if trace_out is not None and n_nodes > 1:
             from repro.analysis.trace import TraceRecorder
             trace = TraceRecorder(record_dram=True)
-        fused, fused_time = _run_fused(system, shape, per, registry, trace)
+        fused, fused_time = _run_fused(
+            _fresh_topology(system, "mca", check_invariants=True,
+                            obs=registry, trace=trace, gpus_per_node=per),
+            shape, calibrate_mca=True, all_gather=False)
         if trace is not None:
             trace.save(trace_out, registry=registry)
         rows.append(ScaleoutRow(
             label=label, n_nodes=n_nodes, gpus_per_node=per,
-            sequential_us=sequential / 1e3,
+            sequential_us=(gemm_time + rs_time) / 1e3,
             t3_mca_us=fused_time / 1e3,
             stage_names=list(fused.plan.stage_names),
             plan_stages=attribute_plan_stages(

@@ -170,6 +170,20 @@ def simulate_case(sub: SubLayer, scale: int, system: SystemConfig,
                               trace_sink=trace_sink)
 
 
+def save_case_trace(sub: SubLayer, scale: int, system: SystemConfig,
+                    faults: Optional[FaultPlan], trace_out: str) -> None:
+    """Re-simulate one case off the cache path under the invariant
+    checker with a registry and a trace recorder attached, and save the
+    T3-MCA run's decomposition-grade trace with the registry merged in
+    (the sweep's cached results are payload only and carry no spans)."""
+    obs_sink: dict = {}
+    trace_sink: dict = {}
+    simulate_case(sub, scale, system, configs=["Sequential", "T3-MCA"],
+                  faults=faults, check_invariants=True, obs_sink=obs_sink,
+                  trace_sink=trace_sink)
+    trace_sink["T3-MCA"].save(trace_out, registry=obs_sink["T3-MCA"])
+
+
 def run_case(sub: SubLayer, fast: bool = True,
              system: Optional[SystemConfig] = None,
              configs: Optional[List[str]] = None,

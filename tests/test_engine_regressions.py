@@ -430,8 +430,8 @@ def _t_nlg_op_tp4_fused(system, **attachments):
 
     shape = sublayer_sweep.case_shape(zoo.t_nlg().sublayer("OP", 4),
                                       sublayer_sweep.FAST_SCALE, system)
-    env, topo = _fresh_topology(system, "mca", **attachments)
-    return env, FusedGEMMRS(topo, shape, calibrate_mca=True).run()
+    topo = _fresh_topology(system, "mca", **attachments)
+    return topo.env, FusedGEMMRS(topo, shape, calibrate_mca=True).run()
 
 
 def test_t_nlg_op_tp4_matches_recorded_fingerprints():

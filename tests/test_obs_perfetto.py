@@ -99,9 +99,9 @@ def merged_trace_path(tmp_path_factory):
     shape = scaled_shape(sub.gemm, FAST_SCALE,
                          min_m=rows_needed * system.gemm.macro_tile_m)
     registry = MetricsRegistry()
-    env, topo = _fresh_topology(system, "mca", obs=registry)
+    topo = _fresh_topology(system, "mca", obs=registry)
     trace = TraceRecorder()
-    env.trace = trace
+    topo.env.trace = trace
     FusedGEMMRS(topo, shape, calibrate_mca=True).run()
     path = tmp_path_factory.mktemp("perfetto") / "run.json"
     trace.save(str(path), registry=registry)

@@ -17,9 +17,12 @@ import pytest
 
 from repro.analysis.trace import TraceRecorder
 from repro.config import table1_system
-from repro.experiments.common import (_ring_period, _run_fused,
-                                      _run_sequential, _sequential_period)
+from repro.experiments.common import (_fresh_topology, _ring_period,
+                                      _run_fused, _run_sequential,
+                                      _sequential_period)
+from repro.faults import FaultPlan
 from repro.gpu.wavefront import GEMMShape
+from repro.interconnect.topology import PeriodicRingTopology
 from repro.obs import MetricsRegistry
 from repro.obs.rotation import rotate_out
 from repro.t3.configs import config_by_name
@@ -53,11 +56,14 @@ def _fields(value):
 def _run(system, shape, config, ring):
     registry, recorder = MetricsRegistry(), TraceRecorder(record_dram=True)
     if config == "Sequential":
-        _run_sequential(system, shape, obs=registry, trace=recorder,
-                        ring=ring)
+        _run_sequential(_fresh_topology(
+            system, "compute-priority", obs=registry, trace=recorder,
+            ring=ring), shape)
     else:
-        _run_fused(system, shape, config_by_name(config), obs=registry,
-                   trace=recorder, ring=ring)
+        policy = config_by_name(config).mc_policy
+        _run_fused(_fresh_topology(system, policy, obs=registry,
+                                   trace=recorder, ring=ring),
+                   shape, policy == "mca")
     return registry, recorder
 
 
@@ -124,6 +130,37 @@ def test_sequential_period_needs_equal_byte_chunks():
     odd = GEMMShape(255, 255, 64)
     assert odd.output_bytes % 4
     assert _sequential_period(system, odd) is None
+
+
+#: attachment -> (policy overrides, ``_fresh_topology`` keywords).  Each
+#: tells ranks apart, so the builder keeps every rank of the ring.
+_SYMMETRY_BREAKERS = {
+    "faults": ({}, {"faults": FaultPlan()}),
+    "invariants": ({}, {"check_invariants": True}),
+    "resilience": ({}, {"resilience": True}),
+    "record-traffic": ({}, {"record_traffic": True}),
+    "adaptive-policy": ({"kind": "adaptive"}, {}),
+    "record-decisions": ({"record_decisions": True}, {}),
+    "nodes": ({}, {"gpus_per_node": 2}),
+}
+
+
+@pytest.mark.parametrize("attached", sorted(_SYMMETRY_BREAKERS) + ["obs"])
+def test_builder_honours_a_period_only_on_a_symmetric_machine(attached):
+    """``_fresh_topology`` simulates the one rotation period a caller asks
+    for only when nothing attached tells ranks apart; a registry and a
+    trace recorder do not."""
+    policy, attachments = _SYMMETRY_BREAKERS.get(attached, ({}, {}))
+    system = table1_system(n_gpus=4).with_policy(**policy)
+    topo = _fresh_topology(system, "mca", obs=MetricsRegistry(),
+                           trace=TraceRecorder(), ring=(1, 1),
+                           **attachments)
+    if attached == "obs":
+        assert isinstance(topo, PeriodicRingTopology)
+        assert topo.n_simulated == 1
+    else:
+        assert not isinstance(topo, PeriodicRingTopology)
+        assert len(topo.gpus) == topo.n_gpus == 4
 
 
 def test_rotation_rejects_records_it_cannot_relabel():

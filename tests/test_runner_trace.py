@@ -94,6 +94,14 @@ _MALFORMED = {
     "span-args-list": '{"traceEvents": [{"ph": "X", "args": [1]}]}',
     "counter-args-list": '[{"ph": "C", "name": "q", "args": [1, 2]}]',
     "t3-string": '{"traceEvents": [], "t3": "v1"}',
+    "scopes-int": '{"traceEvents": [], "t3": {"registry": {"scopes": 5}}}',
+    "counter-string": '{"traceEvents": [], "t3": {"registry": {"scopes": '
+                      '[{"component": "arbiter", "gpu": 0, '
+                      '"counters": {"comm_grants.t10": "x"}}]}}}',
+    "observation-string": '{"traceEvents": [], "t3": {"registry": {"scopes": '
+                          '[{"component": "tracker", "observations": '
+                          '{"trigger_latency_ns": {"count": 1, "total": "x", '
+                          '"min": 0, "max": 0}}}]}}}',
     "invalid-json": '{"traceEvents": [',
 }
 

@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint check smoke-cache smoke-surrogate bench profile results \
-	clean-cache
+.PHONY: test lint check paper-claims smoke-cache smoke-surrogate bench \
+	profile results clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -16,11 +16,17 @@ lint:
 		echo "ruff not installed (pip install -e '.[lint]'); skipping"; \
 	fi
 
-# Everything CI runs: the tier-1 suite plus lint and the two smoke tests
-# too slow for tier-1.  Transparency of every attachment (telemetry,
-# trace, faults, resilience, policy) is a recorded-fingerprint table in
-# tests/test_engine_regressions.py.
-check: test lint smoke-cache smoke-surrogate
+# The tier-1 suite, lint, the fast paper-claim tests and the two smoke
+# tests too slow for tier-1.  CI runs all of these (lint in its own job);
+# its check job adds re-renders of figure16-large and the full-scale
+# figures, the profile sha256 and a saved-trace read-back.  Transparency
+# of every attachment (telemetry, trace, faults, resilience, policy) is
+# a recorded-fingerprint table in tests/test_engine_regressions.py.
+check: test lint paper-claims smoke-cache smoke-surrogate
+
+# The paper-claim tests under benchmarks/ in fast mode, timing off.
+paper-claims:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 # Cache smoke test: figure16 twice; the second run must hit the persistent
 # sweep cache (zero simulations), be much faster, and render identically.

@@ -18,7 +18,8 @@ model from the plan's op:
 Synchronization is by data arrival: a send waits until every chunk it
 forwards has fully landed in the rank's DRAM.  Within a send, reads, CU
 work, link serialization and remote writes are pipelined at the
-simulation quantum, so each step's duration converges to its bottleneck
+simulation quantum, one :class:`~repro.interconnect.transfer.Transfer`
+per quantum, so each step's duration converges to its bottleneck
 (link, DRAM or CU throughput) — the property the Figure 6 CU-sharing
 study depends on.
 """
@@ -37,11 +38,11 @@ from repro.collectives.plan import (
     ring_reduce_scatter_plan,
 )
 from repro.interconnect.topology import Topology
-from repro.memory.controller import MemoryController
+from repro.interconnect.transfer import Hop, Transfer
 from repro.memory.request import AccessKind, Stream
 from repro.sim.engine import BaseEvent, Process
-from repro.sim.machines import CallbackMachine, CompletionGroup
-from repro.sim.primitives import Pipe, Resource
+from repro.sim.machines import CompletionGroup
+from repro.sim.primitives import Resource
 
 #: traffic-accounting label of each op the executor models.
 _LABELS = {CollectiveOp.REDUCE_SCATTER: "rs", CollectiveOp.ALL_GATHER: "ag"}
@@ -58,114 +59,6 @@ class CollectiveResult:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-
-class _QuantumMachine(CallbackMachine):
-    """Callback state machine for one pipelined quantum: operand reads →
-    CU reduction → link serialization → remote writes.
-
-    The event-driven replacement for the former ``_quantum_proc``
-    generator process — by far the most-instantiated process in the
-    simulator.  The machine subclasses :class:`BaseEvent` and re-arms
-    *itself* for every stage boundary (boot, reads-complete,
-    writes-complete, completion) and for the CU hold interval, so one
-    recycled object replaces the process + boot event + two ``AllOf``
-    composites + per-child closures the generator version allocated per
-    quantum.  Every boundary is scheduled at exactly the slot the
-    generator version's event occupied (see ``repro.sim.machines``), so
-    firing order — and therefore every DRAM arbitration decision — is
-    bit-identical to the process version (the recorded fingerprints in
-    ``tests/test_engine_regressions.py`` enforce this).
-
-    Callers guarantee ``read_bytes`` and ``cu_bytes`` are positive (every
-    forward reads at least the local copy and moves it through the CUs).
-    """
-
-    __slots__ = ("coll", "rank", "link", "dst_mc", "nbytes", "read_bytes",
-                 "cu_bytes", "reduce_unit", "cu_bw", "chunk_id", "group",
-                 "_stage", "_pending", "_hold")
-
-    def __init__(self, coll: "_PlanExecutor", rank: int, link: Pipe,
-                 dst_mc: MemoryController, nbytes: int, read_bytes: int,
-                 cu_bytes: int, reduce_unit: Resource, cu_bw: float,
-                 chunk_id: int, group: CompletionGroup):
-        super().__init__(coll.env)
-        self.coll = coll
-        self.rank = rank
-        self.link = link
-        self.dst_mc = dst_mc
-        self.nbytes = nbytes
-        self.read_bytes = read_bytes
-        self.cu_bytes = cu_bytes
-        self.reduce_unit = reduce_unit
-        self.cu_bw = cu_bw
-        self.chunk_id = chunk_id
-        self.group = group
-        self._stage = 0
-        self._pending = 0
-        self._hold = 0.0
-
-    def _advance(self, _event: Optional[BaseEvent] = None) -> None:
-        stage = self._stage
-        if stage == 0:
-            # Booted: issue the operand reads.
-            self._stage = 1
-            coll = self.coll
-            reads = coll.topo.gpus[self.rank].mc.submit_bulk(
-                AccessKind.READ, Stream.COMPUTE, self.read_bytes, coll.label)
-            self._pending = len(reads)
-            cb = self._read_done
-            for ev in reads:
-                ev.add_callback(cb)
-        elif stage == 1:
-            # Reads landed: queue for the CU reduce unit.
-            self._stage = 2
-            env = self.env
-            hold = self.cu_bytes / self.cu_bw
-            if env.faults is not None and env.faults.has_compute_faults:
-                # Straggler seam: the CU reduction of a slowed GPU paces
-                # its ring step exactly like a slowed GEMM wave.
-                hold *= env.faults.compute_factor(
-                    self.coll.topo.gpus[self.rank].gpu_id, env._now)
-            self._hold = hold
-            self.reduce_unit.request().add_callback(self._granted)
-        elif stage == 2:
-            # CU hold elapsed: release the unit, go on the wire.
-            self.reduce_unit.release()
-            self.link.transfer(self.nbytes).add_callback(self._arrived)
-        elif stage == 3:
-            # Writes landed (the slot the writes-AllOf used to fire in).
-            self._stage = 4
-            self._arm()
-        else:
-            # Completion slot (the former process-completion event).
-            self.group.done_one()
-
-    def _read_done(self, _event: BaseEvent) -> None:
-        self._pending -= 1
-        if not self._pending:
-            self._arm()
-
-    def _granted(self, _event: BaseEvent) -> None:
-        self._arm(self._hold)
-
-    def _arrived(self, _event: BaseEvent) -> None:
-        # Arriving writes are tagged with the chunk they deliver (in the
-        # receiver's labels), so a T3 Tracker at the receiver can gate
-        # consumers on chunk arrival (Section 7.2).
-        writes = self.dst_mc.submit_bulk(
-            AccessKind.WRITE, Stream.COMM, self.nbytes, self.coll.label,
-            wg_id=self.chunk_id, chunk_id=self.chunk_id)
-        self._pending = len(writes)
-        cb = self._write_done
-        for ev in writes:
-            ev.add_callback(cb)
-
-    def _write_done(self, _event: BaseEvent) -> None:
-        self._pending -= 1
-        if not self._pending:
-            self._stage = 3
-            self._arm()
 
 
 class _PlanExecutor:
@@ -225,17 +118,20 @@ class _PlanExecutor:
         chunk lands there under that GPU's id for it (its ``tag``)."""
         group = CompletionGroup(self.env)
         dst, shift = self.topo.resolve(step.dst)
-        link = self.topo.gpus[rank].link_to(step.dst)
-        dst_mc = self.topo.gpus[dst].mc
+        src = self.topo.gpus[rank]
+        # Arriving writes are tagged with the chunk they deliver (in the
+        # receiver's labels), so a T3 Tracker at the receiver can gate
+        # consumers on chunk arrival (Section 7.2).
+        hop = Hop(src.link_to(step.dst), self.topo.gpus[dst].mc,
+                  AccessKind.WRITE, self.label, src_mc=src.mc,
+                  reads=read_factor, read_stream=Stream.COMPUTE,
+                  reduce_unit=reduce_unit, cu_bw=cu_bw, gpu_id=src.gpu_id)
         tags = [(cid + shift) % self.plan.n_chunks
                 for cid in step.send_chunks]
         for cid, tag in zip(step.send_chunks, tags):
             for q in self._quanta(self.chunks[cid]):
                 group.expect()
-                _QuantumMachine(
-                    self, rank, link, dst_mc, q, read_factor * q,
-                    (read_factor + 1) * q, reduce_unit, cu_bw, tag,
-                    group).start()
+                Transfer(hop, q, tag, tag, group).start()
         yield group
         for tag in tags:
             self._arrivals[(dst, step.stage, step.step, tag)].succeed()

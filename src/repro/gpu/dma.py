@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.memory.request import AccessKind, Stream
+from repro.interconnect.transfer import Hop, Transfer
+from repro.memory.request import AccessKind
 from repro.sim.engine import BaseEvent, SimulationError
 from repro.sim.machines import CallbackMachine, CompletionGroup
 
@@ -64,93 +65,20 @@ class DMACommand:
         return sum(nbytes for _wg, nbytes in self.wg_slices)
 
 
-class _SliceMachine(CallbackMachine):
-    """One wg-slice transfer: local reads → link → remote writes/updates.
-
-    Stage map (each boundary armed where the generator's event sat):
-    0 = boot, 1 = reads landed (skipped straight through for pure
-    forwarding), 2 = remote writes landed, 3 = completion (reports to
-    the command's group).
-    """
-
-    __slots__ = ("engine", "command", "wg_id", "nbytes", "group",
-                 "_stage", "_pending")
-
-    def __init__(self, engine: "DMAEngine", command: DMACommand,
-                 wg_id: int, nbytes: int, group: CompletionGroup):
-        super().__init__(engine.env)
-        self.engine = engine
-        self.command = command
-        self.wg_id = wg_id
-        self.nbytes = nbytes
-        self.group = group
-        self._stage = 0
-        self._pending = 0
-
-    def _advance(self, _event: Optional[BaseEvent] = None) -> None:
-        stage = self._stage
-        engine = self.engine
-        if stage == 0:
-            self._stage = 1
-            command = self.command
-            if command.read_source:
-                reads = engine.gpu.mc.submit_bulk(
-                    AccessKind.READ, Stream.COMM, self.nbytes,
-                    command.label, chunk_id=command.chunk_id)
-                self._pending = len(reads)
-                cb = self._read_done
-                for ev in reads:
-                    ev.add_callback(cb)
-                return
-            # Pure forwarding (e.g. all-gather reusing a just-received
-            # buffer): straight onto the wire in the boot slot, exactly
-            # as the generator did.
-            stage = 1
-        if stage == 1:
-            engine.gpu.link_to(self.command.dst_gpu_id).transfer(
-                self.nbytes).add_callback(self._arrived)
-            return
-        if stage == 2:
-            engine.bytes_moved += self.nbytes
-            self._stage = 3
-            self._arm()
-            return
-        self.group.done_one()
-
-    def _read_done(self, _event: BaseEvent) -> None:
-        self._pending -= 1
-        if not self._pending:
-            self._arm()
-
-    def _arrived(self, _event: BaseEvent) -> None:
-        command = self.command
-        remote = self.engine.gpu.peer(command.dst_gpu_id)
-        writes = remote.mc.submit_bulk(
-            command.op, Stream.COMM, self.nbytes, command.label,
-            wg_id=self.wg_id, chunk_id=command.chunk_id)
-        self._pending = len(writes)
-        cb = self._write_done
-        for ev in writes:
-            ev.add_callback(cb)
-
-    def _write_done(self, _event: BaseEvent) -> None:
-        self._pending -= 1
-        if not self._pending:
-            self._stage = 2
-            self._arm()
-
-
 class _CommandMachine(CallbackMachine):
-    """One triggered DMA command: launch slices (optionally paced), wait
-    for all of them, then run the completion/notification block.
+    """One triggered DMA command: launch one
+    :class:`~repro.interconnect.transfer.Transfer` per wg slice
+    (optionally paced), wait for all of them, then run the
+    completion/notification block.
 
-    Stage map: 0 = boot, 1 = launch the next slice after a pacing gap,
-    2 = all slices finished, 3 = final no-op slot (the former command
-    process's completion event, kept for event-count parity).
+    Stage map: 0 = boot, 1 = launch slices (from the boot slot, then
+    one after each pacing gap), 2 = all slices finished, 3 = final no-op
+    slot (the former command process's completion event, kept for
+    event-count parity).
     """
 
     __slots__ = ("engine", "command", "start_ns", "_stage", "_index",
-                 "_gap", "_group")
+                 "_gap", "_group", "_hop")
 
     def __init__(self, engine: "DMAEngine", command: DMACommand):
         super().__init__(engine.env)
@@ -161,6 +89,7 @@ class _CommandMachine(CallbackMachine):
         self._index = 0
         self._gap = 0.0
         self._group: Optional[CompletionGroup] = None
+        self._hop: Optional[Hop] = None
 
     def _advance(self, _event: Optional[BaseEvent] = None) -> None:
         stage = self._stage
@@ -172,42 +101,37 @@ class _CommandMachine(CallbackMachine):
             # Command pacing is an overlap-policy decision: a positive
             # gap staggers slice launches to soften the DRAM/link burst;
             # gap 0 (the paper's behavior, and every run without a
-            # policy) takes the launch-all-at-once path unchanged.
-            gap = 0.0
+            # policy) launches every slice at once.
             overlap = env.overlap
             if overlap is not None:
-                gap = overlap.dma_pacing_gap(engine.gpu.gpu_id, command)
-            slices = command.wg_slices
-            group = self._group = CompletionGroup(env, len(slices))
-            if gap > 0.0:
-                self._gap = gap
-                _SliceMachine(engine, command, *slices[0], group).start()
-                self._index = 1
-                if len(slices) > 1:
-                    self._stage = 1
-                    self._arm(gap)
-                    return
-            else:
-                for wg_id, nbytes in slices:
-                    _SliceMachine(engine, command, wg_id, nbytes,
-                                  group).start()
-            self._stage = 2
-            group.add_callback(self._advance)
-            return
+                self._gap = overlap.dma_pacing_gap(engine.gpu.gpu_id,
+                                                   command)
+            gpu = engine.gpu
+            self._hop = Hop(
+                gpu.link_to(command.dst_gpu_id),
+                gpu.peer(command.dst_gpu_id).mc, command.op, command.label,
+                src_mc=gpu.mc, reads=int(command.read_source),
+                read_chunk=command.chunk_id)
+            self._group = CompletionGroup(env, len(command.wg_slices))
+            stage = 1
         if stage == 1:
             slices = command.wg_slices
-            _SliceMachine(engine, command, *slices[self._index],
-                          self._group).start()
-            self._index += 1
-            if self._index < len(slices):
-                self._arm(self._gap)
-                return
+            while self._index < len(slices):
+                wg_id, nbytes = slices[self._index]
+                self._index += 1
+                Transfer(self._hop, nbytes, wg_id, command.chunk_id,
+                         self._group).start()
+                if self._gap > 0.0 and self._index < len(slices):
+                    self._stage = 1
+                    self._arm(self._gap)
+                    return
             self._stage = 2
             self._group.add_callback(self._advance)
             return
         if stage == 2:
             now = env._now
             start = self.start_ns
+            engine.bytes_moved += command.nbytes
             engine._finished_at[command.command_id] = now
             engine.inflight_commands -= 1
             engine.inflight_bytes -= command.nbytes
@@ -318,10 +242,9 @@ class DMAEngine:
 
     # -- execution ----------------------------------------------------------------
     #
-    # One _CommandMachine per trigger and one _SliceMachine per wg slice:
-    # the callback replacements for the former _run / _slice_proc
-    # generator processes, armed at the same slots those processes'
-    # events occupied (see repro.sim.machines for the parity contract).
+    # One _CommandMachine per trigger and one Transfer per wg slice, armed
+    # at the slots the former generator processes' events occupied (see
+    # repro.sim.machines for the parity contract).
 
     def _deliver_completion(self, command: DMACommand) -> None:
         """Notify completion waiters — the injection seam for misdelivered

@@ -8,12 +8,14 @@ the directed :class:`~repro.sim.primitives.Pipe` links between them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.config import SystemConfig
-from repro.gpu.gpu import GPU
 from repro.sim.engine import Environment, SimulationError
 from repro.sim.primitives import Pipe
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.gpu.gpu import GPU
 
 
 class Topology:
@@ -26,6 +28,10 @@ class Topology:
 
     def __init__(self, env: Environment, system: SystemConfig,
                  policy_name: str = "compute-priority"):
+        # Imported here: the GPU's DMA engine runs on this package's
+        # transfer machine, so a module-level import would be a cycle.
+        from repro.gpu.gpu import GPU
+
         self.env = env
         self.system = system
         self.gpus: List[GPU] = [

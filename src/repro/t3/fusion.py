@@ -24,17 +24,18 @@ point (Section 4.4).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.collectives.plan import CollectivePlan, plan_for
 from repro.gpu.dma import DMACommand
 from repro.gpu.gemm import GEMMKernel, StoreSink
 from repro.gpu.wavefront import GEMMShape, StageInfo, TileGrid
 from repro.interconnect.topology import Topology
+from repro.interconnect.transfer import Hop, Transfer
 from repro.memory.cache import estimate_gemm_traffic
 from repro.memory.request import AccessKind, Stream
 from repro.sim.engine import BaseEvent
-from repro.t3.address_map import AddressSpaceConfig, ChunkRoute, RouteKind
+from repro.t3.address_map import AddressSpaceConfig, ChunkRoute
 from repro.t3.driver import ChunkProgram, T3Driver
 
 
@@ -43,55 +44,50 @@ class T3StoreSink(StoreSink):
 
     def __init__(self, fusion: "FusedGEMMRS", rank: int):
         self.fusion = fusion
-        self.rank = rank
-        self.config = fusion.address_configs[rank]
         self.grid = fusion.grids[rank]
+        config = fusion.address_configs[rank]
+        #: per chunk, how its stores apply: NMC update or plain store.
+        self.kinds: Dict[int, AccessKind] = {
+            chunk_id: (AccessKind.UPDATE if route.op == "update"
+                       else AccessKind.WRITE)
+            for chunk_id, route in config.routes.items()}
+        #: per remote-mapped chunk, the hop of its fine-grained
+        #: peer-to-peer stores: the link, then the remote update or store.
+        self.hops: Dict[int, Hop] = {}
+        gpu = fusion.topo.gpus[rank]
+        for chunk_id in config.remote_chunks():
+            dst = config.route(chunk_id).dst_gpu
+            self.hops[chunk_id] = Hop(gpu.link_to(dst), gpu.peer(dst).mc,
+                                      self.kinds[chunk_id],
+                                      fusion.comm_label)
 
     def store_stage(self, gpu, kernel: GEMMKernel,
                     stage: StageInfo) -> List[BaseEvent]:
         local_events: List[BaseEvent] = []
         split_k = self.fusion.split_k
+        nbytes = self.grid.wg_tile_bytes
         for wg_id in stage.wg_ids:
             chunk_id = self.grid.chunk_of_wg(wg_id)
-            route = self.config.route(chunk_id)
-            nbytes = self.grid.wg_tile_bytes
-            kind = (AccessKind.UPDATE if route.op == "update"
-                    else AccessKind.WRITE)
+            hop = self.hops.get(chunk_id)
             # A split-K kernel's co-operating WGs each update the full
             # tile area with partial sums (Section 7.7).
-            for _split in range(split_k):
-                if route.kind is RouteKind.REMOTE_UPDATE:
-                    gpu.env.process(
-                        self._remote_store(gpu, route.dst_gpu, wg_id,
-                                           chunk_id, nbytes, kind),
-                        name=f"t3.remote.r{self.rank}.wg{wg_id}",
-                    )
-                else:
+            if hop is None:
+                kind = self.kinds[chunk_id]
+                for _split in range(split_k):
                     local_events.extend(gpu.mc.submit_bulk(
                         kind, Stream.COMPUTE, nbytes, "gemm",
                         wg_id=wg_id, chunk_id=chunk_id,
                     ))
+                continue
+            # Reducing stores carry (wg, chunk) metadata so the destination
+            # Tracker can count them; all-to-all stores land in a
+            # *separate* per-source buffer at the destination and are not
+            # tracked there.
+            tags = ((wg_id, chunk_id) if hop.op is AccessKind.UPDATE
+                    else (None, None))
+            for _split in range(split_k):
+                Transfer(hop, nbytes, *tags, None).start()
         return local_events
-
-    def _remote_store(self, gpu, dst_gpu_id: int, wg_id: int, chunk_id: int,
-                      nbytes: int, kind: AccessKind):
-        """Fine-grained peer-to-peer store: link, then remote NMC update
-        (or plain store for non-reducing collectives).
-
-        Reducing stores carry (wg, chunk) metadata so the destination
-        Tracker can count them; all-to-all stores land in a *separate*
-        per-source buffer at the destination and are not tracked there.
-        """
-        yield gpu.link_to(dst_gpu_id).transfer(nbytes)
-        remote = gpu.peer(dst_gpu_id)
-        reducing = kind is AccessKind.UPDATE
-        writes = remote.mc.submit_bulk(
-            kind, Stream.COMM, nbytes, self.fusion.comm_label,
-            wg_id=wg_id if reducing else None,
-            chunk_id=chunk_id if reducing else None,
-        )
-        if writes:
-            yield gpu.env.all_of(writes)
 
 
 class FusedGEMMRS(T3Driver):

@@ -118,11 +118,8 @@ def attribute_plan_stages_query(query: TraceQuery,
     activity per phase and splits it into hidden / exposed time.
     """
     per_stage: Dict[str, List[iv.Interval]] = {}
-    for span in query.select(category="dma"):
-        stage = (span.args or {}).get("stage")
-        if stage is None:
-            continue
-        per_stage.setdefault(str(stage), []).append(
-            (span.start_ns, span.end_ns))
+    for stage in query.arg_values("dma", "stage"):
+        per_stage.setdefault(str(stage), []).extend(
+            query.intervals(category="dma", args={"stage": stage}))
     return plan_stage_attribution(per_stage, compute_intervals(query),
                                   stage_order)

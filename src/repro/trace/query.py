@@ -23,9 +23,10 @@ A live recorder that holds one rotation period of its ring
 (:mod:`repro.obs.rotation`) is queried as the whole ring.  Questions
 that read span times only — merged intervals, utilization, bounds,
 categories, groups and the span count, filtered by category, group,
-window or a non-id ``args`` value — are answered from the recorded
-spans: every copy has the times of the span it copies.  The rest build
-the ring's spans once, on first use.
+window or a non-id ``args`` value — and the values of a non-id
+``args`` key are answered from the recorded spans: every copy has the
+times and non-id args of the span it copies.  The rest build the ring's
+spans once, on first use.
 """
 
 from __future__ import annotations
@@ -297,6 +298,16 @@ class TraceQuery:
             else self._period
         return iv.merge((s.start_ns, s.end_ns)
                         for s in _select(index, **filters))
+
+    def arg_values(self, category: str, key: str) -> List[Any]:
+        """Distinct values of ``args[key]`` over ``category``'s spans, in
+        first-appearance order.  A key the ring relabel does not rewrite
+        is answered from the recorded spans."""
+        index = self._ring_index() if key in RELABELLED_ARGS \
+            else self._period
+        values = ((span.args or {}).get(key)
+                  for span in index.by_category.get(category, ()))
+        return list(dict.fromkeys(v for v in values if v is not None))
 
     def incidents(self) -> List[TraceSpan]:
         """Fault/resilience markers, in timeline order."""

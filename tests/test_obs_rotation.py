@@ -24,7 +24,7 @@ from repro.faults import FaultPlan
 from repro.gpu.wavefront import GEMMShape
 from repro.interconnect.topology import PeriodicRingTopology
 from repro.obs import MetricsRegistry
-from repro.obs.rotation import rotate_out
+from repro.obs.rotation import Ring, rotate_out
 from repro.t3.configs import config_by_name
 from repro.trace import (PASSES, TraceQuery, attribute_plan_stages_query,
                          attribute_stages_query, decompose_query)
@@ -120,6 +120,36 @@ def _answers(registry, recorder):
         "dram-args-chunk-1": query.intervals(category="dram",
                                              args={"chunk": 1}),
     }
+
+
+def test_time_only_analyses_build_no_ring_copies(monkeypatch):
+    """The decomposition and the plan-stage attribution read span times
+    and the non-id ``stage`` arg only, so a rotated query answers both
+    from its recorded period without building the ring's span copies."""
+    n_gpus, (m, n, k), period = _CASES["half-row"]
+    system = table1_system(n_gpus=n_gpus)
+    system = system.replace(
+        compute=dataclasses.replace(system.compute, n_cus=4))
+    shape = GEMMShape(m=m, n=n, k=k, name="half-row")
+    registry, recorder = _run(system, shape, "T3",
+                              _ring_period(system, shape))
+    assert recorder.ring is not None and recorder.ring.period == period
+    built = []
+    ring_spans = Ring.spans
+
+    def spy(self, recorded):
+        built.append(len(recorded))
+        return ring_spans(self, recorded)
+
+    monkeypatch.setattr(Ring, "spans", spy)
+    for analysis in (decompose_query, attribute_plan_stages_query):
+        query = TraceQuery.from_recorder(recorder, registry)
+        assert analysis(query)
+        assert built == [], analysis.__name__
+    # A question about ids does build the copies, once.
+    query.select(category="dma")
+    query.select(category="dma")
+    assert built == [len(recorder.spans)]
 
 
 def test_sequential_period_needs_equal_byte_chunks():

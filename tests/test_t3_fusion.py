@@ -115,6 +115,26 @@ def test_fused_no_cu_collective_kernel():
         assert gpu.mc.counters.get("rs.write") == 0
 
 
+def test_fused_run_starts_only_the_kernel_launch_processes(monkeypatch):
+    """Remote tile stores and DMA slices run as callback machines: a fused
+    run starts only the two processes ``GPU.launch`` starts per simulated
+    GPU, the launch wrapper and the kernel body."""
+    started = []
+    process = Environment.process
+
+    def counting(self, generator, name=""):
+        started.append(name)
+        return process(self, generator, name=name)
+
+    monkeypatch.setattr(Environment, "process", counting)
+    env, topo, fused, result = run_fused()
+    assert all(fused.address_configs[rank].remote_chunks()
+               for rank in range(len(topo.gpus)))
+    assert sorted(started) == sorted(
+        name for gpu in topo.gpus
+        for name in (f"gpu{gpu.gpu_id}.gemm", f"gpu{gpu.gpu_id}.gemm.outer"))
+
+
 def test_fused_rs_tail_is_shorter_than_sequential_rs():
     """Fusion hides most of the RS behind the GEMM: the tail after GEMM
     completion must be far below a full sequential RS."""
